@@ -13,8 +13,12 @@ FUZZTIME ?= 10s
 
 check: vet build test race lint fuzz-short chaos-short
 
+# vet also fails on gofmt drift. Hidden directories (.git, the benchmark's
+# .bench_build cache) are skipped.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(find . -path './.*' -prune -o -name '*.go' -print)); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l: unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

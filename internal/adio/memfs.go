@@ -95,7 +95,7 @@ func (m memFile) WriteAtVec(segs []Vec) (int, error) {
 	}
 	return total, nil
 }
-func (m memFile) Size() (int64, error)                     { return m.obj.Size() }
-func (m memFile) Truncate(size int64) error                { return m.obj.Truncate(size) }
-func (m memFile) Sync() error                              { return m.obj.Sync() }
-func (m memFile) Close() error                             { return m.obj.Close() }
+func (m memFile) Size() (int64, error)      { return m.obj.Size() }
+func (m memFile) Truncate(size int64) error { return m.obj.Truncate(size) }
+func (m memFile) Sync() error               { return m.obj.Sync() }
+func (m memFile) Close() error              { return m.obj.Close() }

@@ -3,6 +3,7 @@ package srb
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Payload buffer pooling. Every request and response that carries data used
@@ -23,6 +24,11 @@ import (
 // putBuf accepts any buffer whose capacity matches a class exactly, so a
 // non-pooled allocation that happens to be class-sized is recycled too —
 // harmless, since the caller asserts nothing else references it.
+//
+// The pools hold the pointer to a buffer's first byte, not a *[]byte: a
+// pointer fits an interface without boxing, so neither getBuf nor putBuf
+// allocates. Putting &b instead would move the slice header to the heap
+// on every call, nil and non-class buffers included.
 
 // bufClasses are the pooled capacities, ascending. The largest is MaxChunk:
 // no wire payload exceeds it.
@@ -33,8 +39,7 @@ var bufPools = func() []*sync.Pool {
 	for i, size := range bufClasses {
 		size := size
 		pools[i] = &sync.Pool{New: func() any {
-			b := make([]byte, size)
-			return &b
+			return unsafe.SliceData(make([]byte, size))
 		}}
 	}
 	return pools
@@ -53,9 +58,9 @@ var bufPoolGets, bufPoolPuts atomic.Int64
 func getBuf(n int) []byte {
 	for i, size := range bufClasses {
 		if n <= size {
-			b := *bufPools[i].Get().(*[]byte)
+			p := bufPools[i].Get().(*byte)
 			bufPoolGets.Add(1)
-			return b[:n]
+			return unsafe.Slice(p, size)[:n]
 		}
 	}
 	return make([]byte, n)
@@ -68,8 +73,7 @@ func putBuf(b []byte) {
 	c := cap(b)
 	for i, size := range bufClasses {
 		if c == size {
-			b = b[:size]
-			bufPools[i].Put(&b)
+			bufPools[i].Put(unsafe.SliceData(b[:size]))
 			bufPoolPuts.Add(1)
 			return
 		}

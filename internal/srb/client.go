@@ -45,26 +45,45 @@ type Conn struct {
 // Completion is a race between three parties — the demux loop (response
 // arrived), the op-deadline watchdog (timer fired), and fail (transport
 // died) — resolved by the claimed CAS: exactly one winner writes resp/err
-// and closes done. The losers' outcomes are discarded, which is precisely
+// and signals done. The losers' outcomes are discarded, which is precisely
 // the fix for the old watchdog bug where a timer firing after the response
 // was already read still severed a healthy connection.
+//
+// pendingCalls are recycled through pendingPool, so done is a 1-buffered
+// channel that the single winner sends on (a closed channel could not be
+// reused). Recycling is safe only while the caller is the last party that
+// can touch the call: see call for the rule.
 type pendingCall struct {
-	done    chan struct{}
+	done    chan struct{} // 1-buffered; receives exactly one signal per use
 	claimed atomic.Bool
-	resp    *response // written only by the claimed winner, before close(done)
-	err     error     // written only by the claimed winner, before close(done)
+	resp    response // written only by the claimed winner, before signalling done
+	err     error    // written only by the claimed winner, before signalling done
 }
 
+var pendingPool = sync.Pool{New: func() any {
+	return &pendingCall{done: make(chan struct{}, 1)}
+}}
+
 // complete delivers the call's outcome if no other party has; it reports
-// whether this caller won the claim.
-func (pc *pendingCall) complete(resp *response, err error) bool {
+// whether this caller won the claim. The winner touches pc for the last
+// time in the send on done.
+func (pc *pendingCall) complete(resp response, err error) bool {
 	if !pc.claimed.CompareAndSwap(false, true) {
 		return false
 	}
 	pc.resp = resp
 	pc.err = err
-	close(pc.done)
+	pc.done <- struct{}{}
 	return true
+}
+
+// recycle clears a completed, already-received call and returns it to the
+// pool.
+func (pc *pendingCall) recycle() {
+	pc.claimed.Store(false)
+	pc.resp = response{}
+	pc.err = nil
+	pendingPool.Put(pc)
 }
 
 // Credentials identifies a tenant to a multi-tenant server. The key never
@@ -179,7 +198,7 @@ func (c *Conn) fail(err error) {
 	c.pending = make(map[uint32]*pendingCall)
 	c.mu.Unlock()
 	for _, pc := range orphans {
-		pc.complete(nil, err)
+		pc.complete(response{}, err)
 	}
 }
 
@@ -207,7 +226,11 @@ func (c *Conn) readLoop() {
 			c.fail(fmt.Errorf("%w: response for unknown seq %d", ErrProtocol, resp.seq))
 			return
 		}
-		pc.complete(resp, nil)
+		if !pc.complete(resp, nil) {
+			// The op-deadline watchdog already failed this call; nobody
+			// will read the payload.
+			putBuf(resp.data)
+		}
 	}
 }
 
@@ -246,7 +269,7 @@ func (c *Conn) register(req *request) (*pendingCall, *trace.Tracer, int64, time.
 		}
 	}
 	req.seq = c.seq
-	pc := &pendingCall{done: make(chan struct{})}
+	pc := pendingPool.Get().(*pendingCall)
 	c.pending[req.seq] = pc
 	return pc, c.tr, c.lane, c.timeout, nil
 }
@@ -256,13 +279,18 @@ func (c *Conn) register(req *request) (*pendingCall, *trace.Tracer, int64, time.
 // its own pendingCall while others use the wire. Returned errors
 // distinguish transport failures (sticky, retryable on a fresh connection)
 // from server status errors (terminal).
-func (c *Conn) call(req *request) (*response, error) {
+//
+// Nothing retains req, so callers' request literals stay on their stacks,
+// and the response comes back by value. A response's data buffer is
+// pooled; the caller releases it with putBuf once copied out, or leaves it
+// to the GC.
+func (c *Conn) call(req *request) (response, error) {
 	if err := validateRequest(req); err != nil {
-		return nil, err
+		return response{}, err
 	}
 	pc, tr, lane, timeout, err := c.register(req)
 	if err != nil {
-		return nil, err
+		return response{}, err
 	}
 	var sp trace.Span
 	traced := tr.Enabled()
@@ -273,18 +301,20 @@ func (c *Conn) call(req *request) (*response, error) {
 		// End disambiguates them.
 		sp = tr.Begin("wire", opName(req.op), lane)
 	}
+	var timer *time.Timer
 	if timeout > 0 {
 		// Watchdog, armed before the send so a write stalled on a
 		// black-holed stream is bounded too. Claim-then-sever: if the
 		// response wins the race, the CAS loses and the healthy
 		// connection survives — the watchdog only kills a connection
-		// whose call it actually failed.
-		timer := time.AfterFunc(timeout, func() {
-			if pc.complete(nil, fmt.Errorf("%w after %v (%s seq %d)", ErrTimeout, timeout, opName(req.op), req.seq)) {
+		// whose call it actually failed. It captures op and seq by value
+		// so req stays on the caller's stack.
+		op, seq := req.op, req.seq
+		timer = time.AfterFunc(timeout, func() {
+			if pc.complete(response{}, fmt.Errorf("%w after %v (%s seq %d)", ErrTimeout, timeout, opName(op), seq)) {
 				c.fail(fmt.Errorf("%w: connection severed by op-deadline watchdog", ErrTransport))
 			}
 		})
-		defer timer.Stop()
 	}
 	c.wmu.Lock()
 	//lint:allow lockheld -- c.wmu IS the frame-serialization point: one request frame at a time
@@ -300,16 +330,26 @@ func (c *Conn) call(req *request) (*response, error) {
 		c.fail(fmt.Errorf("%w: %v", ErrTransport, err))
 	}
 	<-pc.done
+	resp, err := pc.resp, pc.err
+	// Recycle rule: readLoop and fail remove pc from pending under mu
+	// before completing it, so once done has fired neither can reach pc
+	// again. A watchdog can: one that already fired may still be running,
+	// and after winning it calls fail, which completes the orphaned pc a
+	// second time. So pc goes back to the pool only if no watchdog was
+	// armed or Stop proves it never ran.
+	if timer == nil || timer.Stop() {
+		pc.recycle()
+	}
 	if traced {
 		tr.Observe("srb.client.op", sp.End(trace.Int("seq", int64(req.seq))))
 	}
-	if pc.err != nil {
-		return nil, pc.err
+	if err != nil {
+		return response{}, err
 	}
-	if pc.resp.status != statusOK {
-		return nil, statusToErr(pc.resp.status, pc.resp.msg, pc.resp.value)
+	if resp.status != statusOK {
+		return response{}, statusToErr(resp.status, resp.msg, resp.value)
 	}
-	return pc.resp, nil
+	return resp, nil
 }
 
 // Ping round-trips a no-op request and returns the server's clock.

@@ -255,16 +255,88 @@ func TestTimeoutClassificationNotSticky(t *testing.T) {
 // late-firing timer must not complete it again (and therefore never severs
 // the connection).
 func TestWatchdogLosesRaceToResponse(t *testing.T) {
-	pc := &pendingCall{done: make(chan struct{})}
-	if !pc.complete(&response{value: 42}, nil) {
+	pc := &pendingCall{done: make(chan struct{}, 1)}
+	if !pc.complete(response{value: 42}, nil) {
 		t.Fatal("first completion rejected")
 	}
-	if pc.complete(nil, ErrTimeout) {
+	if pc.complete(response{}, ErrTimeout) {
 		t.Fatal("second completion (the watchdog) won a settled call")
 	}
 	if pc.err != nil || pc.resp.value != 42 {
 		t.Fatalf("settled outcome overwritten: %v %v", pc.resp, pc.err)
 	}
+}
+
+// TestRecycledCallsSurviveWatchdogs pins the pendingCall recycle rule.
+// Connections whose op-deadline watchdogs fire run beside a healthy
+// connection that draws from the same pool. A fired watchdog calls fail,
+// which completes the orphaned call a second time; had that call been
+// recycled, the stale completion would land on a healthy call.
+func TestRecycledCallsSurviveWatchdogs(t *testing.T) {
+	cEnd, sEnd := net.Pipe()
+	scriptedConn(sEnd, func(req *request) *response {
+		return &response{value: req.offset}
+	})
+	healthy, err := NewConn(cEnd, "healthy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer healthy.Close()
+	f, err := healthy.Open("/h", O_RDWR, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := int64(g); ; k += 4 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if got, err := f.Seek(k, SeekStart); err != nil || got != k {
+					t.Errorf("healthy call: got (%d, %v), want (%d, nil)", got, err, k)
+					return
+				}
+			}
+		}(g)
+	}
+	for round := 0; round < 100; round++ {
+		cEnd, sEnd := net.Pipe()
+		n := 0
+		scriptedConn(sEnd, func(req *request) *response {
+			// Answer every other call and stall the rest, so responses
+			// race the watchdogs.
+			n++
+			if n%2 == 0 {
+				return nil
+			}
+			return &response{value: req.offset}
+		})
+		flaky, err := NewConn(cEnd, "flaky")
+		if err != nil {
+			t.Fatal(err)
+		}
+		flaky.SetOpTimeout(time.Millisecond)
+		var fw sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			fw.Add(1)
+			go func() {
+				defer fw.Done()
+				// This conn exists to fire watchdogs; its outcomes are
+				// not under test.
+				_, _ = flaky.Ping()
+			}()
+		}
+		fw.Wait()
+		flaky.Close()
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestPipelinedTimeoutFailsWholeConn: when the watchdog severs a conn with

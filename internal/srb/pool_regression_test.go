@@ -141,21 +141,23 @@ func (c *budgetConn) SetWriteDeadline(t time.Time) error { return nil }
 func TestServeConnWriteFailureRecyclesResponse(t *testing.T) {
 	const chunk = 128 << 10
 
-	var script bytes.Buffer
+	var script []byte
 	reqs := []*request{
 		{op: opOpen, seq: 1, path: "/f", flags: O_RDWR | O_CREATE},
 		{op: opWrite, seq: 2, handle: 1, offset: 0, data: make([]byte, chunk)},
 		{op: opRead, seq: 3, handle: 1, offset: 0, length: chunk},
 	}
 	for _, r := range reqs {
-		if err := writeRequest(&script, r); err != nil {
+		frame, err := encodeRequest(r)
+		if err != nil {
 			t.Fatalf("encode request %d: %v", r.seq, err)
 		}
+		script = append(script, frame...)
 	}
 
 	// 1 KiB lets the open and write acks flush but is far below the 64 KiB
 	// bufio chunking of the read response, so that write fails mid-frame.
-	conn := newBudgetConn(script.Bytes(), 1<<10)
+	conn := newBudgetConn(script, 1<<10)
 	srv := NewMemServer(storage.DeviceSpec{})
 	gets0, puts0 := bufPoolGets.Load(), bufPoolPuts.Load()
 

@@ -9,6 +9,7 @@
 package srb
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -334,7 +335,11 @@ type request struct {
 	data   []byte
 }
 
-func writeRequest(w io.Writer, r *request) error {
+// writeRequest encodes r into bw. The header is assembled in a local
+// array and appended to bw's free space rather than handed to bw.Write
+// directly: bufio may forward a large Write straight to the underlying
+// conn, which would force the array onto the heap on every call.
+func writeRequest(bw *bufio.Writer, r *request) error {
 	if len(r.data) > MaxChunk {
 		return fmt.Errorf("%w: request payload %d exceeds max %d", ErrInvalid, len(r.data), MaxChunk)
 	}
@@ -355,34 +360,79 @@ func writeRequest(w io.Writer, r *request) error {
 	binary.BigEndian.PutUint64(hdr[24:], uint64(r.length))
 	binary.BigEndian.PutUint32(hdr[32:], uint32(len(r.path)))
 	binary.BigEndian.PutUint32(hdr[36:], uint32(len(r.data)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if err := writeHeader(bw, hdr[:]); err != nil {
 		return err
 	}
 	if len(r.path) > 0 {
-		if _, err := io.WriteString(w, r.path); err != nil {
+		if _, err := bw.WriteString(r.path); err != nil {
 			return err
 		}
 	}
 	if len(r.data) > 0 {
-		if _, err := w.Write(r.data); err != nil {
+		if _, err := bw.Write(r.data); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func readRequest(r io.Reader) (*request, error) {
+// writeHeader copies an encoded header into bw's free space, flushing
+// first if it does not fit, so the header bytes never reach the
+// underlying writer from the caller's memory.
+func writeHeader(bw *bufio.Writer, hdr []byte) error {
+	if bw.Available() < len(hdr) {
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+	}
+	_, err := bw.Write(append(bw.AvailableBuffer(), hdr...))
+	return err
+}
+
+// readHeader fills hdr with the next len(hdr) bytes of br. The bytes are
+// copied out of br's buffer before anything else is read, so a later
+// refill cannot overwrite them. End of stream before the first byte is
+// io.EOF and inside the header io.ErrUnexpectedEOF, as with io.ReadFull.
+func readHeader(br *bufio.Reader, hdr []byte) error {
+	p, err := br.Peek(len(hdr))
+	if len(p) == len(hdr) {
+		copy(hdr, p)
+		_, err = br.Discard(len(hdr))
+		return err
+	}
+	if err == bufio.ErrBufferFull && br.Size() < len(hdr) {
+		// A reader buffer smaller than the header can never peek it
+		// whole; take it a byte at a time.
+		for i := range hdr {
+			if hdr[i], err = br.ReadByte(); err != nil {
+				if err == io.EOF && i > 0 {
+					err = io.ErrUnexpectedEOF
+				}
+				return err
+			}
+		}
+		return nil
+	}
+	if err == io.EOF && len(p) > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// readRequest parses one request frame. The request is returned by value
+// so parsing allocates nothing beyond the pooled payload buffer.
+func readRequest(br *bufio.Reader) (request, error) {
 	var hdr [reqHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+	if err := readHeader(br, hdr[:]); err != nil {
+		return request{}, err
 	}
 	if binary.BigEndian.Uint16(hdr[0:]) != reqMagic {
-		return nil, fmt.Errorf("%w: bad request magic", ErrProtocol)
+		return request{}, fmt.Errorf("%w: bad request magic", ErrProtocol)
 	}
 	if hdr[2] != protoVer {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrProtocol, hdr[2])
+		return request{}, fmt.Errorf("%w: unsupported version %d", ErrProtocol, hdr[2])
 	}
-	req := &request{
+	req := request{
 		op:     hdr[3],
 		seq:    binary.BigEndian.Uint32(hdr[4:]),
 		handle: int32(binary.BigEndian.Uint32(hdr[8:])),
@@ -393,13 +443,13 @@ func readRequest(r io.Reader) (*request, error) {
 	pathLen := binary.BigEndian.Uint32(hdr[32:])
 	dataLen := binary.BigEndian.Uint32(hdr[36:])
 	if pathLen > maxPathLen || dataLen > MaxChunk {
-		return nil, fmt.Errorf("%w: oversized request (path %d, data %d)", ErrProtocol, pathLen, dataLen)
+		return request{}, fmt.Errorf("%w: oversized request (path %d, data %d)", ErrProtocol, pathLen, dataLen)
 	}
 	if pathLen > 0 {
 		pb := getBuf(int(pathLen))
-		if _, err := io.ReadFull(r, pb); err != nil {
+		if _, err := io.ReadFull(br, pb); err != nil {
 			putBuf(pb)
-			return nil, err
+			return request{}, err
 		}
 		req.path = string(pb)
 		putBuf(pb)
@@ -408,9 +458,9 @@ func readRequest(r io.Reader) (*request, error) {
 		// Pooled: the server's request loop releases req.data once the
 		// response is written (dispatch never retains payload bytes).
 		req.data = getBuf(int(dataLen))
-		if _, err := io.ReadFull(r, req.data); err != nil {
+		if _, err := io.ReadFull(br, req.data); err != nil {
 			putBuf(req.data)
-			return nil, err
+			return request{}, err
 		}
 	}
 	return req, nil
@@ -435,7 +485,9 @@ type response struct {
 	data   []byte
 }
 
-func writeResponse(w io.Writer, resp *response) error {
+// writeResponse encodes resp into bw; see writeRequest for why the header
+// goes through bw's free space.
+func writeResponse(bw *bufio.Writer, resp *response) error {
 	msg := resp.msg
 	if len(msg) > maxMsgLen {
 		// An err.Error() of any length can land here (statusIO carries
@@ -452,31 +504,32 @@ func writeResponse(w io.Writer, resp *response) error {
 	binary.BigEndian.PutUint64(hdr[12:], uint64(resp.value))
 	binary.BigEndian.PutUint32(hdr[20:], uint32(len(msg)))
 	binary.BigEndian.PutUint32(hdr[24:], uint32(len(resp.data)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if err := writeHeader(bw, hdr[:]); err != nil {
 		return err
 	}
 	if len(msg) > 0 {
-		if _, err := io.WriteString(w, msg); err != nil {
+		if _, err := bw.WriteString(msg); err != nil {
 			return err
 		}
 	}
 	if len(resp.data) > 0 {
-		if _, err := w.Write(resp.data); err != nil {
+		if _, err := bw.Write(resp.data); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func readResponse(r io.Reader) (*response, error) {
+// readResponse parses one response frame, by value like readRequest.
+func readResponse(br *bufio.Reader) (response, error) {
 	var hdr [respHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+	if err := readHeader(br, hdr[:]); err != nil {
+		return response{}, err
 	}
 	if binary.BigEndian.Uint16(hdr[0:]) != respMagic {
-		return nil, fmt.Errorf("%w: bad response magic", ErrProtocol)
+		return response{}, fmt.Errorf("%w: bad response magic", ErrProtocol)
 	}
-	resp := &response{
+	resp := response{
 		seq:    binary.BigEndian.Uint32(hdr[4:]),
 		status: int32(binary.BigEndian.Uint32(hdr[8:])),
 		value:  int64(binary.BigEndian.Uint64(hdr[12:])),
@@ -484,13 +537,13 @@ func readResponse(r io.Reader) (*response, error) {
 	msgLen := binary.BigEndian.Uint32(hdr[20:])
 	dataLen := binary.BigEndian.Uint32(hdr[24:])
 	if msgLen > maxMsgLen || dataLen > MaxChunk {
-		return nil, fmt.Errorf("%w: oversized response", ErrProtocol)
+		return response{}, fmt.Errorf("%w: oversized response", ErrProtocol)
 	}
 	if msgLen > 0 {
 		mb := getBuf(int(msgLen))
-		if _, err := io.ReadFull(r, mb); err != nil {
+		if _, err := io.ReadFull(br, mb); err != nil {
 			putBuf(mb)
-			return nil, err
+			return response{}, err
 		}
 		resp.msg = string(mb)
 		putBuf(mb)
@@ -500,9 +553,9 @@ func readResponse(r io.Reader) (*response, error) {
 		// copying out; metadata paths copy into strings and leave the
 		// buffer to the GC.
 		resp.data = getBuf(int(dataLen))
-		if _, err := io.ReadFull(r, resp.data); err != nil {
+		if _, err := io.ReadFull(br, resp.data); err != nil {
 			putBuf(resp.data)
-			return nil, err
+			return response{}, err
 		}
 	}
 	return resp, nil

@@ -1,6 +1,7 @@
 package srb
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -11,11 +12,43 @@ import (
 	"testing"
 )
 
+// encodeRequest frames r into a byte slice through the same buffered
+// writer path a connection uses.
+func encodeRequest(r *request) ([]byte, error) {
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	if err := writeRequest(bw, r); err != nil {
+		return nil, err
+	}
+	err := bw.Flush()
+	return buf.Bytes(), err
+}
+
+// encodeResponse is the response-side mirror of encodeRequest.
+func encodeResponse(r *response) ([]byte, error) {
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	if err := writeResponse(bw, r); err != nil {
+		return nil, err
+	}
+	err := bw.Flush()
+	return buf.Bytes(), err
+}
+
+// parseRequest reads one request frame from b.
+func parseRequest(b []byte) (request, error) {
+	return readRequest(bufio.NewReader(bytes.NewReader(b)))
+}
+
+// parseResponse reads one response frame from b.
+func parseResponse(b []byte) (response, error) {
+	return readResponse(bufio.NewReader(bytes.NewReader(b)))
+}
+
 // sampleRequestBytes encodes a representative request for seeding.
 func sampleRequestBytes(t testing.TB) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	err := writeRequest(&buf, &request{
+	b, err := encodeRequest(&request{
 		op:     opWrite,
 		seq:    7,
 		handle: 3,
@@ -28,13 +61,12 @@ func sampleRequestBytes(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 func sampleResponseBytes(t testing.TB) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	err := writeResponse(&buf, &response{
+	b, err := encodeResponse(&response{
 		seq:    7,
 		status: statusIO,
 		value:  42,
@@ -44,7 +76,7 @@ func sampleResponseBytes(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return b
 }
 
 // FuzzReadRequest feeds arbitrary bytes to the server-side request parser.
@@ -75,17 +107,17 @@ func FuzzReadRequest(f *testing.F) {
 	// but the key\0value split would land in the wrong place. The client
 	// rejects such keys before encoding; this seed keeps the parser honest
 	// about frames a non-conforming client could still send.
-	var nulKey bytes.Buffer
-	if err := writeRequest(&nulKey, &request{
+	nulKey, err := encodeRequest(&request{
 		op: opSetAttr, seq: 8, path: "/col/a.dat",
 		data: []byte("bad\x00key\x00value"),
-	}); err != nil {
+	})
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(nulKey.Bytes())
+	f.Add(nulKey)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := readRequest(bytes.NewReader(data))
+		req, err := parseRequest(data)
 		if err != nil {
 			return
 		}
@@ -95,11 +127,11 @@ func FuzzReadRequest(f *testing.F) {
 		if len(req.data) > MaxChunk {
 			t.Fatalf("accepted payload of %d bytes, MaxChunk is %d", len(req.data), MaxChunk)
 		}
-		var buf bytes.Buffer
-		if err := writeRequest(&buf, req); err != nil {
+		buf, err := encodeRequest(&req)
+		if err != nil {
 			t.Fatalf("re-encoding an accepted request failed: %v", err)
 		}
-		again, err := readRequest(bytes.NewReader(buf.Bytes()))
+		again, err := parseRequest(buf)
 		if err != nil {
 			t.Fatalf("re-parsing a re-encoded request failed: %v", err)
 		}
@@ -128,7 +160,7 @@ func FuzzReadResponse(f *testing.F) {
 	f.Add(hugeData)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		resp, err := readResponse(bytes.NewReader(data))
+		resp, err := parseResponse(data)
 		if err != nil {
 			return
 		}
@@ -138,11 +170,11 @@ func FuzzReadResponse(f *testing.F) {
 		if len(resp.data) > MaxChunk {
 			t.Fatalf("accepted payload of %d bytes, MaxChunk is %d", len(resp.data), MaxChunk)
 		}
-		var buf bytes.Buffer
-		if err := writeResponse(&buf, resp); err != nil {
+		buf, err := encodeResponse(&resp)
+		if err != nil {
 			t.Fatalf("re-encoding an accepted response failed: %v", err)
 		}
-		again, err := readResponse(bytes.NewReader(buf.Bytes()))
+		again, err := parseResponse(buf)
 		if err != nil {
 			t.Fatalf("re-parsing a re-encoded response failed: %v", err)
 		}
@@ -358,7 +390,7 @@ func TestReadRequestMalformed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := readRequest(bytes.NewReader(tc.input))
+			_, err := parseRequest(tc.input)
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("got error %v, want %v", err, tc.wantErr)
 			}
@@ -369,7 +401,7 @@ func TestReadRequestMalformed(t *testing.T) {
 	}
 
 	t.Run("valid", func(t *testing.T) {
-		req, err := readRequest(bytes.NewReader(valid))
+		req, err := parseRequest(valid)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,8 +5,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // TestLongErrorMessageTruncatedOnWire is the regression for the framing
@@ -179,6 +183,150 @@ func TestWritevRoundTripUnmerged(t *testing.T) {
 	for i := range segs {
 		if got[i].off != segs[i].off || !bytes.Equal(got[i].data, segs[i].data) {
 			t.Fatalf("run %d mismatch", i)
+		}
+	}
+}
+
+// TestFrameCodecReaderShapes drives the frame parsers through readers that
+// return short reads (iotest.OneByteReader, iotest.HalfReader) and through
+// bufio buffers small enough that a header straddles a refill, or is
+// larger than the whole buffer. Every shape must parse the same frames.
+// The payload sizes sweep a header start across every offset of the
+// 64-byte buffer, so some header always needs a refill mid-Peek.
+func TestFrameCodecReaderShapes(t *testing.T) {
+	var reqStream, respStream []byte
+	var reqs []request
+	var resps []response
+	for n := 0; n < 70; n++ {
+		req := request{op: opWrite, seq: uint32(n + 1), handle: 3, offset: int64(n) << 9, path: "/p"}
+		resp := response{seq: uint32(n + 1), value: int64(n), msg: "m"}
+		if n > 0 {
+			req.data = bytes.Repeat([]byte{byte(n)}, n)
+			resp.data = bytes.Repeat([]byte{byte(n)}, n)
+		}
+		b, err := encodeRequest(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqStream = append(reqStream, b...)
+		if b, err = encodeResponse(&resp); err != nil {
+			t.Fatal(err)
+		}
+		respStream = append(respStream, b...)
+		reqs = append(reqs, req)
+		resps = append(resps, resp)
+	}
+	shapes := []struct {
+		name string
+		wrap func(io.Reader) io.Reader
+	}{
+		{"whole", func(r io.Reader) io.Reader { return r }},
+		{"one-byte", iotest.OneByteReader},
+		{"half", iotest.HalfReader},
+	}
+	for _, shape := range shapes {
+		// 16 is bufio's minimum: smaller than either header, so the
+		// parsers cannot peek a header whole there.
+		for _, size := range []int{16, 64, 4096} {
+			t.Run(fmt.Sprintf("%s/%d", shape.name, size), func(t *testing.T) {
+				br := bufio.NewReaderSize(shape.wrap(bytes.NewReader(reqStream)), size)
+				for i, want := range reqs {
+					got, err := readRequest(br)
+					if err != nil {
+						t.Fatalf("request %d: %v", i, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("request %d = %+v, want %+v", i, got, want)
+					}
+				}
+				if _, err := readRequest(br); err != io.EOF {
+					t.Fatalf("after the last request: %v, want io.EOF", err)
+				}
+				br = bufio.NewReaderSize(shape.wrap(bytes.NewReader(respStream)), size)
+				for i, want := range resps {
+					got, err := readResponse(br)
+					if err != nil {
+						t.Fatalf("response %d: %v", i, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("response %d = %+v, want %+v", i, got, want)
+					}
+				}
+				if _, err := readResponse(br); err != io.EOF {
+					t.Fatalf("after the last response: %v, want io.EOF", err)
+				}
+			})
+		}
+	}
+}
+
+// TestFrameCodecTruncatedHeader: a stream that ends inside a header is
+// io.ErrUnexpectedEOF, and one that ends before it io.EOF, whatever the
+// reader shape or buffer size.
+func TestFrameCodecTruncatedHeader(t *testing.T) {
+	req, err := encodeRequest(&request{op: opPing, seq: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := encodeResponse(&response{seq: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{16, 4096} {
+		for _, cut := range []int{0, 1, 17, reqHeaderSize - 1} {
+			want := io.ErrUnexpectedEOF
+			if cut == 0 {
+				want = io.EOF
+			}
+			br := bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(req[:cut])), size)
+			if _, err := readRequest(br); err != want {
+				t.Errorf("request cut at %d, buffer %d: %v, want %v", cut, size, err, want)
+			}
+			if cut < respHeaderSize {
+				br = bufio.NewReaderSize(iotest.HalfReader(bytes.NewReader(resp[:cut])), size)
+				if _, err := readResponse(br); err != want {
+					t.Errorf("response cut at %d, buffer %d: %v, want %v", cut, size, err, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFrameCodecSmallWriter: the encoders stage headers in the writer's
+// free space, so a writer buffer smaller than a header (or nearly full)
+// must still produce byte-identical frames.
+func TestFrameCodecSmallWriter(t *testing.T) {
+	req := &request{op: opWrite, seq: 5, handle: 2, offset: 99, path: "/x", data: []byte("payload")}
+	resp := &response{seq: 5, value: 7, msg: "ok", data: []byte("payload")}
+	wantReq, err := encodeRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantResp, err := encodeResponse(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{16, 41, 64} {
+		for _, prefix := range []int{0, 1, 30} {
+			var buf bytes.Buffer
+			bw := bufio.NewWriterSize(&buf, size)
+			pad := bytes.Repeat([]byte{0xee}, prefix)
+			if _, err := bw.Write(pad); err != nil {
+				t.Fatal(err)
+			}
+			if err := writeRequest(bw, req); err != nil {
+				t.Fatal(err)
+			}
+			if err := writeResponse(bw, resp); err != nil {
+				t.Fatal(err)
+			}
+			if err := bw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			want := append(append(pad, wantReq...), wantResp...)
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("buffer %d, prefix %d: frames differ from the reference encoding", size, prefix)
+			}
 		}
 	}
 }

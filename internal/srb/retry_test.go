@@ -150,7 +150,7 @@ func scriptedConn(c net.Conn, fn func(req *request) *response) {
 			case opOpen:
 				resp = &response{value: 7}
 			default:
-				resp = fn(req)
+				resp = fn(&req)
 			}
 			if resp == nil {
 				// Stall: swallow the request, never answer. Keep

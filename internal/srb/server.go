@@ -380,8 +380,8 @@ func (s *Server) countAuthFailed() {
 // rateLimitedResp builds the fair-share shed reply: a retryable status
 // whose value field carries the bucket's retry-after hint in nanoseconds
 // (errResp cannot be used — errToStatus has no channel for the hint).
-func rateLimitedResp(retryAfter time.Duration) *response {
-	return &response{status: statusRateLimited, value: int64(retryAfter)}
+func rateLimitedResp(retryAfter time.Duration) response {
+	return response{status: statusRateLimited, value: int64(retryAfter)}
 }
 
 // admitTenant charges req against the session tenant's token buckets.
@@ -389,14 +389,14 @@ func rateLimitedResp(retryAfter time.Duration) *response {
 // one op plus the request's byte cost: payload bytes carried in (writes)
 // plus bytes requested back (reads), so a tenant's byte bucket meters both
 // directions of its data flow.
-func (s *Server) admitTenant(sess *session, req *request) (bool, *response) {
+func (s *Server) admitTenant(sess *session, req *request) (bool, response) {
 	t := sess.tenant
 	if t == nil {
-		return true, nil
+		return true, response{}
 	}
 	reg := s.tenants.Load()
 	if reg == nil {
-		return true, nil
+		return true, response{}
 	}
 	cost := int64(len(req.data))
 	if req.length > 0 {
@@ -404,7 +404,7 @@ func (s *Server) admitTenant(sess *session, req *request) (bool, *response) {
 	}
 	ok, wait := t.Admit(cost, reg.Now())
 	if ok {
-		return true, nil
+		return true, response{}
 	}
 	s.countRateLimited()
 	return false, rateLimitedResp(wait)
@@ -426,7 +426,7 @@ func (s *Server) shedConn(conn net.Conn) {
 	putBuf(req.data) // parser-pooled payload; the request is refused unread
 	resp := errResp(ErrServerBusy)
 	resp.seq = req.seq
-	if err := writeResponse(bw, resp); err != nil {
+	if err := writeResponse(bw, &resp); err != nil {
 		return
 	}
 	//lint:allow errdrop -- the refused conn closes right after; the flush error has no consumer
@@ -467,7 +467,9 @@ func (s *Server) ServeConn(conn net.Conn) {
 	// stalls on the server's turnaround. The queue is bounded: a client
 	// that outruns dispatch by more than its depth backpressures into the
 	// transport, exactly as before.
-	reqCh := make(chan *request, readAheadDepth)
+	// Requests travel by value, so the queue itself holds them and parsing
+	// allocates nothing per frame beyond the pooled payload.
+	reqCh := make(chan request, readAheadDepth)
 	done := make(chan struct{})
 	defer close(done)
 	var readErr error // written by the reader before close(reqCh)
@@ -504,13 +506,13 @@ func (s *Server) ServeConn(conn net.Conn) {
 			putBuf(req.data)
 			resp := errResp(ErrServerBusy)
 			resp.seq = req.seq
-			if writeResponse(bw, resp) == nil {
+			if writeResponse(bw, &resp) == nil {
 				//lint:allow errdrop -- the conn closes right after; the flush error has no consumer
 				bw.Flush()
 			}
 			return
 		}
-		var resp *response
+		var resp response
 		if !s.acquireOp() {
 			// Over the in-flight cap: refuse without starting the op but
 			// keep the connection — busy is a status error, not a transport
@@ -518,7 +520,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 			// backing off.
 			s.countShed()
 			resp = errResp(ErrServerBusy)
-		} else if ok, rlResp := s.admitTenant(sess, req); !ok {
+		} else if ok, rlResp := s.admitTenant(sess, &req); !ok {
 			// Over the session tenant's token bucket: refuse without
 			// starting the op, carrying the bucket's retry-after hint. The
 			// connection stays open — rate-limited is a status error the
@@ -531,7 +533,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 			// server events nest deterministically inside the client's wire
 			// span under a virtual clock.
 			sp := tr.BeginServer("server", opName(req.op), lane)
-			resp = sess.dispatch(req)
+			resp = sess.dispatch(&req)
 			if tr.Enabled() {
 				tr.Observe("srb.server.dispatch", sp.End())
 			}
@@ -542,7 +544,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		// Whether or not the write succeeds, the response bytes are dead
 		// after this point (copied into the buffered writer, or the conn
 		// is unusable); recycle before bailing out on error.
-		err := writeResponse(bw, resp)
+		err := writeResponse(bw, &resp)
 		putBuf(resp.data)
 		if err != nil {
 			return
@@ -615,19 +617,19 @@ func (ss *session) closeAll() {
 	ss.files = nil
 }
 
-func (ss *session) dispatch(req *request) *response {
+func (ss *session) dispatch(req *request) response {
 	// With a tenant registry attached, nothing but the connect handshake is
 	// served to an unauthenticated session — a client skipping the
 	// handshake gets the same terminal refusal a bad proof gets.
 	if req.op != opConnect && ss.tenant == nil && ss.srv.tenants.Load() != nil {
 		ss.srv.countAuthFailed()
-		return &response{status: statusAuthFailed, msg: "authentication required"}
+		return response{status: statusAuthFailed, msg: "authentication required"}
 	}
 	switch req.op {
 	case opConnect:
 		return ss.connect(req)
 	case opPing:
-		return &response{value: time.Now().UnixNano()}
+		return response{value: time.Now().UnixNano()}
 	case opOpen:
 		return ss.open(req)
 	case opClose:
@@ -682,15 +684,15 @@ func (ss *session) dispatch(req *request) *response {
 // unknown tenant, bad proof — returns the same terminal status with a
 // generic message, so the handshake cannot be used to probe which tenant
 // IDs exist. ServeConn hangs up after writing a statusAuthFailed response.
-func (ss *session) connect(req *request) *response {
+func (ss *session) connect(req *request) response {
 	ss.user = req.path
 	reg := ss.srv.tenants.Load()
 	if reg == nil {
-		return &response{value: protoVer, msg: "SRB-Go/1 ready"}
+		return response{value: protoVer, msg: "SRB-Go/1 ready"}
 	}
-	refuse := func() *response {
+	refuse := func() response {
 		ss.srv.countAuthFailed()
-		return &response{status: statusAuthFailed, msg: "invalid tenant credentials"}
+		return response{status: statusAuthFailed, msg: "invalid tenant credentials"}
 	}
 	if len(req.data) == 0 {
 		return refuse()
@@ -704,12 +706,12 @@ func (ss *session) connect(req *request) *response {
 		return refuse()
 	}
 	ss.tenant = t
-	return &response{value: protoVer, msg: "SRB-Go/1 ready"}
+	return response{value: protoVer, msg: "SRB-Go/1 ready"}
 }
 
-func errResp(err error) *response {
+func errResp(err error) response {
 	st, msg := errToStatus(err)
-	return &response{status: st, msg: msg}
+	return response{status: st, msg: msg}
 }
 
 func mapCatErr(err error) error {
@@ -774,7 +776,7 @@ func (s *Server) unlink(p string) error {
 	return nil
 }
 
-func (ss *session) open(req *request) *response {
+func (ss *session) open(req *request) response {
 	s := ss.srv
 	flags := req.flags
 	resource := s.defaultRes
@@ -794,6 +796,16 @@ func (ss *session) open(req *request) *response {
 		}
 	case err == mcat.ErrNotFound && flags&O_CREATE != 0:
 		e, err = s.cat.CreateFileAs(req.path, resource, ss.owner())
+		if err == mcat.ErrExists && flags&O_EXCL == 0 {
+			// Another session created the path between the lookup and
+			// the create: open its entry instead. The physical create
+			// below tolerates ErrExists, so whichever session gets there
+			// first makes the object.
+			e, err = s.cat.Lookup(req.path)
+			if err == nil && e.Type == mcat.TypeCollection {
+				return errResp(ErrIsDir)
+			}
+		}
 		if err != nil {
 			return errResp(mapCatErr(err))
 		}
@@ -829,36 +841,36 @@ func (ss *session) open(req *request) *response {
 	}
 	ss.files[h] = of
 	atomic.AddInt64(&s.stats.OpenHandles, 1)
-	return &response{value: int64(h)}
+	return response{value: int64(h)}
 }
 
-func (ss *session) lookupHandle(h int32) (*openFile, *response) {
+func (ss *session) lookupHandle(h int32) (*openFile, error) {
 	f, ok := ss.files[h]
 	if !ok {
-		return nil, errResp(ErrBadHandle)
+		return nil, ErrBadHandle
 	}
 	return f, nil
 }
 
-func (ss *session) close(req *request) *response {
-	f, er := ss.lookupHandle(req.handle)
-	if er != nil {
-		return er
+func (ss *session) close(req *request) response {
+	f, err := ss.lookupHandle(req.handle)
+	if err != nil {
+		return errResp(err)
 	}
 	delete(ss.files, req.handle)
 	atomic.AddInt64(&ss.srv.stats.OpenHandles, -1)
 	if err := f.obj.Close(); err != nil {
 		return errResp(fmt.Errorf("%w: %v", ErrIO, err))
 	}
-	return &response{}
+	return response{}
 }
 
 // read serves both explicit-offset reads (offset >= 0) and file-pointer
 // reads (offset < 0).
-func (ss *session) read(req *request) *response {
-	f, er := ss.lookupHandle(req.handle)
-	if er != nil {
-		return er
+func (ss *session) read(req *request) response {
+	f, err := ss.lookupHandle(req.handle)
+	if err != nil {
+		return errResp(err)
 	}
 	if f.flags&O_ACCESS == O_WRONLY {
 		return errResp(fmt.Errorf("%w: file not open for reading", ErrInvalid))
@@ -882,13 +894,13 @@ func (ss *session) read(req *request) *response {
 		f.pos = off + int64(rn)
 	}
 	atomic.AddInt64(&ss.srv.stats.BytesRead, int64(rn))
-	return &response{value: int64(rn), data: buf[:rn]}
+	return response{value: int64(rn), data: buf[:rn]}
 }
 
-func (ss *session) write(req *request) *response {
-	f, er := ss.lookupHandle(req.handle)
-	if er != nil {
-		return er
+func (ss *session) write(req *request) response {
+	f, err := ss.lookupHandle(req.handle)
+	if err != nil {
+		return errResp(err)
 	}
 	if f.flags&O_ACCESS == O_RDONLY {
 		return errResp(fmt.Errorf("%w: file not open for writing", ErrInvalid))
@@ -917,7 +929,7 @@ func (ss *session) write(req *request) *response {
 	}
 	ss.srv.cat.GrowSize(f.path, off+int64(n))
 	atomic.AddInt64(&ss.srv.stats.BytesWritten, int64(n))
-	return &response{value: int64(n)}
+	return response{value: int64(n)}
 }
 
 // writev applies a vectored write: several absolute-offset segments in one
@@ -925,10 +937,10 @@ func (ss *session) write(req *request) *response {
 // wire frame itself parsed fine, so the connection survives. Each segment
 // is an idempotent WriteAt, so a replay after a mid-vector transport
 // failure is safe.
-func (ss *session) writev(req *request) *response {
-	f, er := ss.lookupHandle(req.handle)
-	if er != nil {
-		return er
+func (ss *session) writev(req *request) response {
+	f, err := ss.lookupHandle(req.handle)
+	if err != nil {
+		return errResp(err)
 	}
 	if f.flags&O_ACCESS == O_RDONLY {
 		return errResp(fmt.Errorf("%w: file not open for writing", ErrInvalid))
@@ -966,7 +978,7 @@ func (ss *session) writev(req *request) *response {
 		}
 	}
 	atomic.AddInt64(&ss.srv.stats.BytesWritten, total)
-	return &response{value: total}
+	return response{value: total}
 }
 
 // readv serves a vectored read: several absolute-offset ranges gathered into
@@ -974,10 +986,10 @@ func (ss *session) writev(req *request) *response {
 // short (EOF) ends the reply, so the client's sequential scatter is
 // unambiguous. Malformed vector framing is an ErrInvalid status reply — the
 // wire frame itself parsed fine, so the connection survives.
-func (ss *session) readv(req *request) *response {
-	f, er := ss.lookupHandle(req.handle)
-	if er != nil {
-		return er
+func (ss *session) readv(req *request) response {
+	f, err := ss.lookupHandle(req.handle)
+	if err != nil {
+		return errResp(err)
 	}
 	if f.flags&O_ACCESS == O_WRONLY {
 		return errResp(fmt.Errorf("%w: file not open for reading", ErrInvalid))
@@ -1004,13 +1016,13 @@ func (ss *session) readv(req *request) *response {
 		}
 	}
 	atomic.AddInt64(&ss.srv.stats.BytesRead, int64(total))
-	return &response{value: int64(total), data: buf[:total]}
+	return response{value: int64(total), data: buf[:total]}
 }
 
-func (ss *session) seek(req *request) *response {
-	f, er := ss.lookupHandle(req.handle)
-	if er != nil {
-		return er
+func (ss *session) seek(req *request) response {
+	f, err := ss.lookupHandle(req.handle)
+	if err != nil {
+		return errResp(err)
 	}
 	var base int64
 	switch req.flags {
@@ -1032,7 +1044,7 @@ func (ss *session) seek(req *request) *response {
 		return errResp(fmt.Errorf("%w: negative seek", ErrInvalid))
 	}
 	f.pos = np
-	return &response{value: np}
+	return response{value: np}
 }
 
 func (ss *session) entryInfo(e *mcat.Entry) *FileInfo {
@@ -1045,18 +1057,18 @@ func (ss *session) entryInfo(e *mcat.Entry) *FileInfo {
 	}
 }
 
-func (ss *session) stat(req *request) *response {
+func (ss *session) stat(req *request) response {
 	e, err := ss.srv.cat.Lookup(req.path)
 	if err != nil {
 		return errResp(mapCatErr(err))
 	}
-	return &response{data: encodeFileInfo(ss.entryInfo(e))}
+	return response{data: encodeFileInfo(ss.entryInfo(e))}
 }
 
-func (ss *session) fstat(req *request) *response {
-	f, er := ss.lookupHandle(req.handle)
-	if er != nil {
-		return er
+func (ss *session) fstat(req *request) response {
+	f, err := ss.lookupHandle(req.handle)
+	if err != nil {
+		return errResp(err)
 	}
 	e, err := ss.srv.cat.Lookup(f.path)
 	if err != nil {
@@ -1065,7 +1077,7 @@ func (ss *session) fstat(req *request) *response {
 		if serr != nil {
 			return errResp(fmt.Errorf("%w: %v", ErrIO, serr))
 		}
-		return &response{data: encodeFileInfo(&FileInfo{Path: f.path, Size: sz})}
+		return response{data: encodeFileInfo(&FileInfo{Path: f.path, Size: sz})}
 	}
 	info := ss.entryInfo(e)
 	// Size in the catalog may lag behind unsynced object bytes for files
@@ -1073,13 +1085,13 @@ func (ss *session) fstat(req *request) *response {
 	if sz, serr := f.obj.Size(); serr == nil && sz > info.Size {
 		info.Size = sz
 	}
-	return &response{data: encodeFileInfo(info)}
+	return response{data: encodeFileInfo(info)}
 }
 
-func (ss *session) truncate(req *request) *response {
-	f, er := ss.lookupHandle(req.handle)
-	if er != nil {
-		return er
+func (ss *session) truncate(req *request) response {
+	f, err := ss.lookupHandle(req.handle)
+	if err != nil {
+		return errResp(err)
 	}
 	// Truncating up materializes a hole the catalog accounts as stored
 	// bytes, so it passes the same quota gate as a write.
@@ -1090,21 +1102,21 @@ func (ss *session) truncate(req *request) *response {
 		return errResp(fmt.Errorf("%w: %v", ErrIO, err))
 	}
 	ss.srv.cat.SetSize(f.path, req.length)
-	return &response{}
+	return response{}
 }
 
-func (ss *session) sync(req *request) *response {
-	f, er := ss.lookupHandle(req.handle)
-	if er != nil {
-		return er
+func (ss *session) sync(req *request) response {
+	f, err := ss.lookupHandle(req.handle)
+	if err != nil {
+		return errResp(err)
 	}
 	if err := f.obj.Sync(); err != nil {
 		return errResp(fmt.Errorf("%w: %v", ErrIO, err))
 	}
-	return &response{}
+	return response{}
 }
 
-func (ss *session) list(req *request) *response {
+func (ss *session) list(req *request) response {
 	entries, err := ss.srv.cat.List(req.path)
 	if err != nil {
 		return errResp(mapCatErr(err))
@@ -1113,10 +1125,10 @@ func (ss *session) list(req *request) *response {
 	for _, e := range entries {
 		buf = append(buf, encodeFileInfo(ss.entryInfo(e))...)
 	}
-	return &response{value: int64(len(entries)), data: buf}
+	return response{value: int64(len(entries)), data: buf}
 }
 
-func (ss *session) setAttr(req *request) *response {
+func (ss *session) setAttr(req *request) response {
 	// data = key\x00value
 	key, val, ok := splitKV(req.data)
 	if !ok {
@@ -1125,31 +1137,31 @@ func (ss *session) setAttr(req *request) *response {
 	return errResp(mapCatErr(ss.srv.cat.SetAttr(req.path, key, val)))
 }
 
-func (ss *session) getAttr(req *request) *response {
+func (ss *session) getAttr(req *request) response {
 	key := string(req.data)
 	v, err := ss.srv.cat.GetAttr(req.path, key)
 	if err != nil {
 		return errResp(mapCatErr(err))
 	}
-	return &response{data: []byte(v)}
+	return response{data: []byte(v)}
 }
 
-func (ss *session) listResources() *response {
+func (ss *session) listResources() response {
 	var buf []byte
 	rs := ss.srv.cat.Resources()
 	for _, r := range rs {
 		buf = appendString(buf, r.Name)
 		buf = appendString(buf, r.Kind)
 	}
-	return &response{value: int64(len(rs)), data: buf}
+	return response{value: int64(len(rs)), data: buf}
 }
 
-func (ss *session) rename(req *request) *response {
+func (ss *session) rename(req *request) response {
 	newPath := string(req.data)
 	if err := ss.srv.cat.Rename(req.path, newPath); err != nil {
 		return errResp(mapCatErr(err))
 	}
-	return &response{}
+	return response{}
 }
 
 // openPhysical opens an entry's primary object, failing over to replicas
@@ -1176,7 +1188,7 @@ func (s *Server) openPhysical(e *mcat.Entry) (storage.Object, error) {
 // replicate copies a data object to another resource and records the
 // replica in the catalog. The copy is point-in-time; subsequent writes go
 // to the primary only.
-func (ss *session) replicate(req *request) *response {
+func (ss *session) replicate(req *request) response {
 	s := ss.srv
 	target := string(req.data)
 	e, err := s.cat.Lookup(req.path)
@@ -1232,13 +1244,13 @@ func (ss *session) replicate(req *request) *response {
 	if err := s.cat.AddReplica(req.path, mcat.Replica{Resource: target, PhysicalKey: key}); err != nil {
 		return errResp(mapCatErr(err))
 	}
-	return &response{value: size}
+	return response{value: size}
 }
 
 // checksum computes the SHA-256 of a data object server-side (the
 // Schksum facility: end-to-end integrity without shipping the bytes) and
 // records it as the "checksum" attribute.
-func (ss *session) checksum(req *request) *response {
+func (ss *session) checksum(req *request) response {
 	s := ss.srv
 	e, err := s.cat.Lookup(req.path)
 	if err != nil {
@@ -1274,7 +1286,7 @@ func (ss *session) checksum(req *request) *response {
 	}
 	sum := hex.EncodeToString(h.Sum(nil))
 	s.cat.SetAttr(req.path, "checksum", sum)
-	return &response{value: size, data: []byte(sum)}
+	return response{value: size, data: []byte(sum)}
 }
 
 func splitKV(b []byte) (key, val string, ok bool) {

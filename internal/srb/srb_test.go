@@ -341,6 +341,53 @@ func TestSharedFileStripedWriters(t *testing.T) {
 	}
 }
 
+// TestConcurrentCreateOpen: sessions racing to open the same new path
+// with O_CREATE (and no O_EXCL) must all succeed on one shared file. The
+// catalog lookup and create are separate steps, so the loser of the
+// create must fall back to opening the winner's entry rather than report
+// ErrExists.
+func TestConcurrentCreateOpen(t *testing.T) {
+	srv := NewMemServer(storage.DeviceSpec{})
+	const sessions = 8
+	conns := make([]*Conn, sessions)
+	for i := range conns {
+		conns[i] = connectTo(t, srv)
+	}
+	for round := 0; round < 50; round++ {
+		path := fmt.Sprintf("/race-%d", round)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i, conn := range conns {
+			wg.Add(1)
+			go func(i int, conn *Conn) {
+				defer wg.Done()
+				<-start
+				f, err := conn.Open(path, O_RDWR|O_CREATE, "")
+				if err != nil {
+					t.Errorf("round %d session %d: open: %v", round, i, err)
+					return
+				}
+				if _, err := f.WriteAt([]byte{byte(i)}, int64(i)); err != nil {
+					t.Errorf("round %d session %d: write: %v", round, i, err)
+				}
+				f.Close()
+			}(i, conn)
+		}
+		close(start)
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		fi, err := conns[0].Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size != sessions {
+			t.Fatalf("round %d: size %d, want %d (one shared file)", round, fi.Size, sessions)
+		}
+	}
+}
+
 func TestServerStats(t *testing.T) {
 	srv, conn := startPair(t)
 	f, _ := conn.Open("/f", O_RDWR|O_CREATE, "")

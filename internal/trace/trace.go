@@ -23,6 +23,7 @@
 package trace
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -183,7 +184,9 @@ func (t *Tracer) BeginServer(cat, name string, tid int64) Span {
 }
 
 // End closes the span, records it as a complete ('X') event and returns
-// its duration in nanoseconds (0 for an inert span).
+// its duration in nanoseconds (0 for an inert span). The event keeps its
+// own copy of args, so the caller's variadic slice never escapes: End on
+// an inert span does not allocate.
 func (s Span) End(args ...Arg) int64 {
 	if s.t == nil {
 		return 0
@@ -194,17 +197,18 @@ func (s Span) End(args ...Arg) int64 {
 		dur = 0
 	}
 	s.t.append(event{ph: 'X', cat: s.cat, name: s.name, pid: s.pid, tid: s.tid,
-		ts: s.start, dur: dur, args: args})
+		ts: s.start, dur: dur, args: slices.Clone(args)})
 	return dur
 }
 
 // Instant records a zero-duration marker event (reconnects, faults, ...).
+// Like End, it stores a copy of args.
 func (t *Tracer) Instant(cat, name string, tid int64, args ...Arg) {
 	if t == nil {
 		return
 	}
 	t.append(event{ph: 'i', cat: cat, name: name, pid: PidClient, tid: tid,
-		ts: t.clock(), args: args})
+		ts: t.clock(), args: slices.Clone(args)})
 }
 
 func (t *Tracer) append(e event) {

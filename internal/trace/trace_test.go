@@ -237,3 +237,35 @@ func TestWallClockMonotonic(t *testing.T) {
 		t.Fatalf("wall clock not advancing: %d then %d", a, b)
 	}
 }
+
+// TestInertSpanArgsDoNotAllocate: End and Instant copy their variadic
+// args instead of retaining the caller's slice, so instrumentation sites
+// that pass args unconditionally cost nothing while tracing is off.
+func TestInertSpanArgsDoNotAllocate(t *testing.T) {
+	var tr *Tracer
+	n := int64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		n++
+		tr.Begin("cat", "name", 1).End(Int("n", n), Str("status", "ok"))
+		tr.Instant("cat", "name", 1, Int("n", n))
+	})
+	if allocs != 0 {
+		t.Fatalf("inert span End/Instant with args: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestEventArgsAreCopied: a recorded event must not alias the caller's
+// args slice, which the caller is free to reuse.
+func TestEventArgsAreCopied(t *testing.T) {
+	tr := NewWith(NewVirtualClock(1))
+	args := []Arg{Int("n", 1)}
+	tr.Begin("cat", "span", 1).End(args...)
+	tr.Instant("cat", "mark", 1, args...)
+	args[0] = Int("n", 99)
+	evs, _, _ := tr.snapshot()
+	for _, e := range evs {
+		if len(e.args) != 1 || e.args[0].Int != 1 {
+			t.Fatalf("event %s args = %+v, want the values at record time", e.name, e.args)
+		}
+	}
+}
