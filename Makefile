@@ -9,9 +9,9 @@ RACE_PKGS = ./...
 # -fuzz <name> ./internal/srb` with no time limit).
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race lint lint-json fuzz-short chaos-short chaos-long bench bench-smoke
+.PHONY: check vet build test race lint lint-json fuzz-short chaos-short chaos-long bench bench-smoke perfbench-test
 
-check: vet build test race lint fuzz-short chaos-short
+check: vet build test race lint fuzz-short chaos-short perfbench-test
 
 # vet also fails on gofmt drift. Hidden directories (.git, the benchmark's
 # .bench_build cache) are skipped.
@@ -50,8 +50,8 @@ lint:
 lint-json:
 	$(GO) run ./cmd/semplarvet $(if $(RULES),-rules $(RULES)) -json ./... > lint.json
 
-# Short fuzz smoke over the wire-protocol parsers: seeds plus $(FUZZTIME)
-# of mutation per target.
+# Short fuzz smoke over the wire-protocol parsers and the MCAT journal
+# codec (crash-torn input): seeds plus $(FUZZTIME) of mutation per target.
 fuzz-short:
 	$(GO) test ./internal/srb -run=^$$ -fuzz=FuzzReadRequest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/srb -run=^$$ -fuzz=FuzzReadResponse -fuzztime=$(FUZZTIME)
@@ -62,6 +62,15 @@ fuzz-short:
 	$(GO) test ./internal/srb -run=^$$ -fuzz=FuzzDecodeReadv -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/srb -run=^$$ -fuzz=FuzzDecodeAuth -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/srb -run=^$$ -fuzz=FuzzAuthRoundTrip -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/mcat -run=^$$ -fuzz=FuzzDecodeRecord -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/mcat -run=^$$ -fuzz=FuzzReadJournal -fuzztime=$(FUZZTIME)
+
+# The benchmark harness is its own module (perfbench/go.mod), so the root
+# `go test ./...` never reaches it. Its tests pin the harness against the
+# stack it measures: the traced driver wrapper keeps mpiio's dispatch, and a
+# strided read sends the server the same requests traced and untraced.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Seeded chaos smoke: a full workload under connection kills, partitions,
 # latency spikes and a server crash/restart, with end-to-end checksum

@@ -35,7 +35,9 @@ var ErrUnknownDriver = errors.New("adio: unknown driver")
 //	streams         SRBFS: connections to stripe across
 //	stripe_size     SRBFS/federation: stripe unit in bytes
 //	sieve           mpiio: "on"/"off", data sieving for strided views (default on)
-//	sieve_buf_size  mpiio: sieve window size in bytes (default 524288)
+//	sieve_buf_size  mpiio: sieve window size in bytes (default 524288); a
+//	                sieved call keeps up to 4 window reads in flight, so it
+//	                holds at most 5 windows of this size
 //	listio          mpiio: "on"/"off", vectored list I/O for sparse views (default on)
 //	listio_density  mpiio: view density (BlockLen/Stride) below which list
 //	                I/O is preferred over sieving when the driver supports

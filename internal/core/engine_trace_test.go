@@ -45,8 +45,11 @@ func TestEngineTraceStress(t *testing.T) {
 			if inf := tr.Counter(GaugeInflight); inf < 0 || inf > threads {
 				t.Errorf("inflight gauge out of [0,%d]: %d", threads, inf)
 			}
-			sub := tr.Counter(CountSubmitted)
+			// Completed first: a submit and its completion may land
+			// between the two reads, so reading submitted first could
+			// see completed overtake it when the engine never did.
 			comp := tr.Counter(CountCompleted)
+			sub := tr.Counter(CountSubmitted)
 			if sub < lastSub {
 				t.Errorf("submitted counter went backwards: %d -> %d", lastSub, sub)
 			}

@@ -45,10 +45,11 @@ type File struct {
 	view     View // logical-to-physical mapping (MPI_File_set_view)
 
 	// sieve holds the parsed noncontiguous-access hints; immutable after
-	// Open. sieveMu is the per-handle window lock serializing sieved
-	// read-modify-write cycles (see sieve.go for the concurrency contract).
+	// Open. sieveMu is the window lock serializing sieved
+	// read-modify-write cycles, shared by the handles on this path (see
+	// sieve.go for the concurrency contract).
 	sieve   sieveConfig
-	sieveMu sync.Mutex
+	sieveMu *sieveLock
 
 	// collSeq numbers collective calls so each gets a private tag
 	// block; all ranks advance it identically by issuing collectives in
@@ -120,7 +121,7 @@ func Open(comm *mpi.Comm, reg *adio.Registry, path string, flags int, hints adio
 		return nil, fmt.Errorf("mpiio: open %s: %w", path, err)
 	}
 
-	return &File{comm: comm, inner: inner, eng: core.NewEngine(threads), sieve: scfg}, nil
+	return &File{comm: comm, inner: inner, eng: core.NewEngine(threads), sieve: scfg, sieveMu: acquireSieveLock(path)}, nil
 }
 
 // OpenLocal opens a file outside an MPI job (comm == nil).
@@ -393,6 +394,7 @@ func (f *File) Close() error {
 	f.closed = true
 	f.mu.Unlock()
 	f.eng.Close()
+	releaseSieveLock(f.sieveMu)
 	err := f.inner.Close()
 	if f.comm != nil {
 		f.comm.Barrier()

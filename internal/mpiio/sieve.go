@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"semplar/internal/adio"
 	"semplar/internal/trace"
@@ -32,11 +33,14 @@ import (
 // below the listio_density hint) would make a sieve window mostly holes, so
 // they go to list I/O when the driver offers it; dense views sieve.
 //
-// Concurrency: sieved writes lock the window per handle (f.sieveMu), which
-// serializes RMW cycles issued through one *File. Like ROMIO, correctness
-// against OTHER writers is the application's problem: the RMW cycle rewrites
-// every byte of the window, so a concurrent writer to unrelated bytes of the
-// same window through a different handle can be silently undone. The
+// Concurrency: the RMW cycle rewrites every byte of the window, so a
+// concurrent write to unrelated bytes of the same window could be silently
+// undone. Sieved writes therefore hold a window lock (f.sieveMu) shared by
+// every handle on the same path in this process: ranks of a job each open
+// their own handle, and interleaved strided writes through two of them must
+// not undo each other's records (ROMIO takes a file lock around the same
+// cycle). Writers the lock cannot see — other processes, plain contiguous
+// writes, another spelling of the path — are the application's problem: the
 // documented contract is single writer per window-sized region.
 
 // Sieve hint defaults (see adio.Hints for the key list).
@@ -92,52 +96,100 @@ func parseSieveHints(hints adio.Hints) (sieveConfig, error) {
 	return cfg, nil
 }
 
-// Sieve window buffers are pooled in size classes, srb/bufpool-style: RMW
-// cycles at WAN latency leave windows alive for a round trip, and without
-// pooling each cycle pays a window-sized allocation. The default class
-// ladder tops out above the default window so the common case always pools.
+// sieveLock is the window lock of one path, shared by its open handles.
+// refs counts those handles; it is read and written only with
+// sieveLocksMu held.
+type sieveLock struct {
+	sync.Mutex
+	path string
+	refs int
+}
+
+var (
+	sieveLocksMu sync.Mutex
+	sieveLocks   = map[string]*sieveLock{} // guarded by sieveLocksMu
+)
+
+// acquireSieveLock returns path's window lock, creating it for the first
+// open handle.
+func acquireSieveLock(path string) *sieveLock {
+	sieveLocksMu.Lock()
+	defer sieveLocksMu.Unlock()
+	l := sieveLocks[path]
+	if l == nil {
+		l = &sieveLock{path: path}
+		sieveLocks[path] = l
+	}
+	l.refs++
+	return l
+}
+
+// releaseSieveLock drops a closed handle's reference, forgetting the lock
+// with the last one.
+func releaseSieveLock(l *sieveLock) {
+	sieveLocksMu.Lock()
+	defer sieveLocksMu.Unlock()
+	if l.refs--; l.refs == 0 {
+		delete(sieveLocks, l.path)
+	}
+}
+
+// Sieve window buffers are recycled in size classes through small free
+// lists, one per class ("leaky buffers": a buffered channel; a get from an
+// empty list allocates, a put to a full one leaves the buffer to the GC).
+// RMW cycles at WAN latency keep windows alive for a round trip, and a
+// read-ahead call holds up to sieveReadAhead+1 of them at once. A sync.Pool
+// would not keep them: the runtime empties it every second GC cycle, and a
+// workload that allocates between sieved calls (a solver between restart
+// reads) would re-allocate every window of every call. Each list holds one
+// call's worth of windows, which bounds what it retains. The lists hold the
+// pointer to a buffer's first byte, so neither getSieveBuf nor putSieveBuf
+// allocates. The default class ladder tops out above the default window so
+// the common case always recycles.
 var sieveClasses = [...]int{64 << 10, defaultSieveBufSize, 2 << 20}
 
-var sievePools = func() []*sync.Pool {
-	pools := make([]*sync.Pool, len(sieveClasses))
-	for i, size := range sieveClasses {
-		size := size
-		pools[i] = &sync.Pool{New: func() any {
-			b := make([]byte, size)
-			return &b
-		}}
+var sieveFree = func() (free [len(sieveClasses)]chan *byte) {
+	for i := range free {
+		free[i] = make(chan *byte, sieveReadAhead+1)
 	}
-	return pools
+	return free
 }()
 
-// sieveBufGets/sieveBufPuts count pooled window hand-outs and returns. Every
-// sieve window is released before its viewIO call returns — including every
-// error path — so tests diff the counters around injected failures to pin
-// pool balance.
+// sieveBufGets/sieveBufPuts count class-sized window hand-outs and
+// returns. Every sieve window is released before its viewIO call returns —
+// including every error path — so tests diff the counters around injected
+// failures to pin pool balance.
 var sieveBufGets, sieveBufPuts atomic.Int64
 
-// getSieveBuf returns a window buffer of length n backed by pooled storage;
-// oversized requests fall back to a plain allocation.
+// getSieveBuf returns a window buffer of length n backed by class-sized
+// storage, recycled when the class's free list has some; oversized
+// requests fall back to a plain allocation.
 func getSieveBuf(n int) []byte {
 	for i, size := range sieveClasses {
 		if n <= size {
-			b := *sievePools[i].Get().(*[]byte)
 			sieveBufGets.Add(1)
-			return b[:n]
+			select {
+			case p := <-sieveFree[i]:
+				return unsafe.Slice(p, size)[:n]
+			default:
+				return make([]byte, n, size)
+			}
 		}
 	}
 	return make([]byte, n)
 }
 
-// putSieveBuf returns a window buffer to its size-class pool. Buffers whose
-// capacity is not exactly a pool class are ignored.
+// putSieveBuf returns a window buffer to its size class's free list.
+// Buffers whose capacity is not exactly a class are ignored.
 func putSieveBuf(b []byte) {
 	c := cap(b)
 	for i, size := range sieveClasses {
 		if c == size {
-			b = b[:size]
-			sievePools[i].Put(&b)
 			sieveBufPuts.Add(1)
+			select {
+			case sieveFree[i] <- unsafe.SliceData(b[:size]):
+			default:
+			}
 			return
 		}
 	}
@@ -208,49 +260,162 @@ func (w sieveWindow) forEachPiece(v View, fn func(bufOff, lgOff, n int64) bool) 
 	}
 }
 
-// sievedRead moves a strided read through sieve windows: one large
-// contiguous driver read per window, pieces extracted in memory. Short
-// window reads behave like the naive path: a piece that comes up short ends
-// the transfer with io.EOF and the contiguous logical prefix; holes past
-// the driver's EOF inside the window read as absent, not zeros.
-func (f *File) sievedRead(v View, p []byte, off int64) (int, error) {
-	total := 0
-	for total < len(p) {
-		w, ok := nextWindow(v, off+int64(total), int64(len(p)-total), f.sieve.bufSize)
+// sieveReadAhead bounds the window reads one sieved call keeps in flight.
+// Consecutive windows of a call are physically disjoint, so their reads can
+// overlap each other and, in a sieved write, the previous window's
+// write-back: at WAN latency a call pays about one round trip per
+// sieveReadAhead windows instead of one per window. A call holds at most
+// sieveReadAhead+1 window buffers: the reads in flight plus the window being
+// consumed.
+const sieveReadAhead = 4
+
+// sieveSlot is one window of a sievePipe: planned and issued by the caller,
+// read by one goroutine, consumed by the caller in window order.
+type sieveSlot struct {
+	w    sieveWindow
+	buf  []byte // pooled window buffer; nil once released
+	lane int64  // trace lane of this window's read
+	n    int    // read result, valid once done
+	err  error
+	done sync.WaitGroup
+}
+
+// hardErr is the window read's error unless it is io.EOF.
+func (s *sieveSlot) hardErr() error {
+	if s.err == io.EOF {
+		return nil
+	}
+	return s.err
+}
+
+// short reports whether the window read stopped at the driver's EOF. The
+// window never extends past its final piece, so a short read always cuts a
+// piece.
+func (s *sieveSlot) short() bool { return int64(s.n) < s.w.physLen }
+
+// sievePipe is one sieved call's read-ahead pipeline, allocated once per
+// call. The caller plans windows with nextWindow and issues each window's
+// read on its own goroutine, up to sieveReadAhead at once, but consumes the
+// results strictly in window order, so prefix, EOF and error semantics are
+// exactly those of a sequential window loop. Windows issued past the one
+// that ends a transfer are drained, never consumed.
+type sievePipe struct {
+	f        *File
+	v        View
+	write    bool       // RMW reads: a short read zero-fills instead of ending the transfer
+	plan     int64      // logical offset of the next window to plan
+	end      int64      // logical end of the sieved range
+	issued   int        // windows issued
+	consumed int        // windows handed to the caller
+	held     *sieveSlot // the window the caller is consuming
+	ticket   atomic.Int64
+	read     func() // pl.readWindow, bound once so issuing a window does not allocate
+	slots    [sieveReadAhead + 1]sieveSlot
+}
+
+// newSievePipe plans the sieved range [off, off+n) and issues its first
+// window reads.
+func (f *File) newSievePipe(v View, off int64, n int, write bool) *sievePipe {
+	pl := &sievePipe{f: f, v: v, write: write, plan: off, end: off + int64(n)}
+	pl.read = pl.readWindow
+	pl.fill()
+	return pl
+}
+
+// fill plans and issues windows until sieveReadAhead reads are in flight or
+// the range is planned. A tail too small to sieve ends the plan; the caller
+// moves it through the naive loop once every window is consumed.
+func (pl *sievePipe) fill() {
+	for pl.issued-pl.consumed < sieveReadAhead && pl.plan < pl.end {
+		w, ok := nextWindow(pl.v, pl.plan, pl.end-pl.plan, pl.f.sieve.bufSize)
 		if !ok {
-			n, err := f.naiveViewIO(v, p[total:], off+int64(total), false)
-			return total + n, err
+			pl.end = pl.plan
+			return
 		}
-		buf := getSieveBuf(int(w.physLen))
-		sp := f.tracer.Begin("mpiio", "sieve.window", f.lane)
-		n, rerr := f.inner.ReadAt(buf[:w.physLen], w.physStart)
-		sp.End(trace.Int("phys", w.physLen), trace.Int("logical", w.take))
-		f.counters.recordPhys(true, n)
-		if rerr != nil && rerr != io.EOF {
-			putSieveBuf(buf)
-			return total, rerr
+		s := &pl.slots[pl.issued%len(pl.slots)]
+		s.w, s.buf, s.lane = w, getSieveBuf(int(w.physLen)), pl.f.tracer.NextID()
+		s.done.Add(1)
+		pl.issued++
+		pl.plan += w.take
+		go pl.read()
+	}
+}
+
+// readWindow is one reader goroutine: it claims the oldest unclaimed issued
+// slot (goroutines take tickets in issue order) and reads its window.
+func (pl *sievePipe) readWindow() {
+	s := &pl.slots[(pl.ticket.Add(1)-1)%int64(len(pl.slots))]
+	sp := pl.f.tracer.Begin("mpiio", "sieve.window", s.lane)
+	s.n, s.err = pl.f.inner.ReadAt(s.buf[:s.w.physLen], s.w.physStart)
+	sp.End(trace.Int("phys", s.w.physLen), trace.Int("logical", s.w.take))
+	pl.f.counters.recordPhys(true, s.n)
+	s.done.Done()
+}
+
+// next returns the caller's previous window to the pool and waits for the
+// next window in order; nil once every issued window is consumed. Unless
+// the window ends the transfer, next tops the read-ahead back up before
+// returning, so the following reads overlap the caller's scatter or
+// write-back of this one.
+func (pl *sievePipe) next() *sieveSlot {
+	if pl.held != nil {
+		putSieveBuf(pl.held.buf)
+		pl.held.buf, pl.held = nil, nil
+	}
+	if pl.consumed == pl.issued {
+		return nil
+	}
+	s := &pl.slots[pl.consumed%len(pl.slots)]
+	s.done.Wait()
+	pl.consumed++
+	pl.held = s
+	if s.hardErr() == nil && (pl.write || !s.short()) {
+		pl.fill()
+	}
+	return s
+}
+
+// drain stops planning, waits out the reads still in flight and returns
+// every window buffer to the pool. Every sieved call defers it.
+func (pl *sievePipe) drain() {
+	pl.end = pl.plan
+	for pl.next() != nil {
+	}
+}
+
+// sievedRead moves a strided read through sieve windows: one large
+// contiguous driver read per window, pieces extracted in memory, with up to
+// sieveReadAhead window reads in flight. Short window reads behave like the
+// naive path: a piece that comes up short ends the transfer with io.EOF and
+// the contiguous logical prefix; holes past the driver's EOF inside the
+// window read as absent, not zeros.
+func (f *File) sievedRead(v View, p []byte, off int64) (int, error) {
+	pl := f.newSievePipe(v, off, len(p), false)
+	defer pl.drain()
+	total := 0
+	for s := pl.next(); s != nil; s = pl.next() {
+		if err := s.hardErr(); err != nil {
+			return total, err
 		}
-		short := false
-		w.forEachPiece(v, func(bufOff, lgOff, pn int64) bool {
-			avail := int64(n) - bufOff
+		s.w.forEachPiece(v, func(bufOff, lgOff, pn int64) bool {
+			avail := int64(s.n) - bufOff
 			if avail > pn {
 				avail = pn
 			}
 			if avail < 0 {
 				avail = 0
 			}
-			copy(p[total:], buf[bufOff:bufOff+avail])
+			copy(p[total:], s.buf[bufOff:bufOff+avail])
 			total += int(avail)
-			if avail < pn {
-				short = true
-				return false
-			}
-			return true
+			return avail == pn
 		})
-		putSieveBuf(buf)
-		if short {
+		if s.short() {
 			return total, io.EOF
 		}
+	}
+	if total < len(p) {
+		n, err := f.naiveViewIO(v, p[total:], off+int64(total), false)
+		return total + n, err
 	}
 	return total, nil
 }
@@ -259,41 +424,33 @@ func (f *File) sievedRead(v View, p []byte, off int64) (int, error) {
 // windows: read the window, scatter the new pieces over it, write it back
 // whole. Gap bytes between frames ride along unchanged; gap bytes beyond
 // the driver's EOF are zero-filled, exactly as naive per-piece writes would
-// leave them. The per-handle window lock serializes RMW cycles so two
-// strided writes through this handle cannot interleave their
+// leave them. The reads run ahead through the sieve pipeline, so window
+// k+1's read overlaps window k's write-back: safe because the windows are
+// physically disjoint. Write-backs stay sequential in window order. The
+// path's window lock serializes whole calls, reads in flight included, so
+// two strided writes to this path cannot interleave their
 // read-and-write-back halves.
 func (f *File) sievedWrite(v View, p []byte, off int64) (int, error) {
 	f.sieveMu.Lock()
 	defer f.sieveMu.Unlock()
+	pl := f.newSievePipe(v, off, len(p), true)
+	defer pl.drain()
 	total := 0
-	for total < len(p) {
-		w, ok := nextWindow(v, off+int64(total), int64(len(p)-total), f.sieve.bufSize)
-		if !ok {
-			n, err := f.naiveViewIO(v, p[total:], off+int64(total), true)
-			return total + n, err
+	for s := pl.next(); s != nil; s = pl.next() {
+		if err := s.hardErr(); err != nil {
+			return total, err
 		}
-		buf := getSieveBuf(int(w.physLen))
-		sp := f.tracer.Begin("mpiio", "sieve.window", f.lane)
-		//lint:allow lockheld -- f.sieveMu IS the RMW serialization point: the window must not change between its read and write-back
-		n, rerr := f.inner.ReadAt(buf[:w.physLen], w.physStart)
-		f.counters.recordPhys(true, n)
-		if rerr != nil && rerr != io.EOF {
-			putSieveBuf(buf)
-			sp.End(trace.Int("phys", w.physLen), trace.Int("logical", int64(0)))
-			return total, rerr
-		}
-		for i := int64(n); i < w.physLen; i++ {
-			buf[i] = 0 // gap bytes past EOF read as zeros, like naive writes leave them
-		}
+		w, buf := s.w, s.buf[:s.w.physLen]
+		clear(buf[s.n:]) // gap bytes past EOF read as zeros, like naive writes leave them
 		w.forEachPiece(v, func(bufOff, lgOff, pn int64) bool {
 			copy(buf[bufOff:bufOff+pn], p[int64(total)+lgOff:])
 			return true
 		})
+		sp := f.tracer.Begin("mpiio", "sieve.writeback", f.lane)
 		//lint:allow lockheld -- f.sieveMu IS the RMW serialization point: the window must not change between its read and write-back
-		wn, werr := f.inner.WriteAt(buf[:w.physLen], w.physStart)
-		f.counters.recordPhys(false, wn)
+		wn, werr := f.inner.WriteAt(buf, w.physStart)
 		sp.End(trace.Int("phys", w.physLen), trace.Int("logical", w.take))
-		putSieveBuf(buf)
+		f.counters.recordPhys(false, wn)
 		if werr != nil || int64(wn) < w.physLen {
 			// Count the logical prefix confirmed on disk: pieces wholly
 			// below physStart+wn.
@@ -316,6 +473,10 @@ func (f *File) sievedWrite(v View, p []byte, off int64) (int, error) {
 			return total, werr
 		}
 		total += int(w.take)
+	}
+	if total < len(p) {
+		n, err := f.naiveViewIO(v, p[total:], off+int64(total), true)
+		return total + n, err
 	}
 	return total, nil
 }

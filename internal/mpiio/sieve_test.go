@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"semplar/internal/adio"
 )
@@ -183,12 +186,23 @@ func TestSievedWriteMatchesNaive(t *testing.T) {
 	}
 }
 
-// faultCtl injects a hard error on the Nth driver ReadAt/WriteAt (1-based;
-// 0 disables injection). Shared by every handle the fault driver opens.
+// noFault disables one of faultCtl's injection points.
+const noFault = -1
+
+// faultCtl injects driver faults by physical offset, so a fault names a
+// sieve window however the read-ahead pipeline orders its concurrent
+// reads: a ReadAt or WriteAt whose range covers failReadAt or failWriteAt
+// fails with err, and reads see the file end at eofAt. noFault disables an
+// injection point. reads counts driver reads; it is atomic because window
+// reads run concurrently.
 type faultCtl struct {
-	failRead, failWrite int
-	reads, writes       int
-	err                 error
+	failReadAt, failWriteAt, eofAt int64
+	err                            error
+	reads                          atomic.Int64
+}
+
+func covers(off int64, n int, at int64) bool {
+	return at >= 0 && off <= at && at < off+int64(n)
 }
 
 type faultFile struct {
@@ -197,88 +211,402 @@ type faultFile struct {
 }
 
 func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
-	f.ctl.reads++
-	if f.ctl.failRead > 0 && f.ctl.reads >= f.ctl.failRead {
+	f.ctl.reads.Add(1)
+	if covers(off, len(p), f.ctl.failReadAt) {
 		return 0, f.ctl.err
+	}
+	if eof := f.ctl.eofAt; eof >= 0 && off+int64(len(p)) > eof {
+		if off >= eof {
+			return 0, io.EOF
+		}
+		n, err := f.File.ReadAt(p[:eof-off], off)
+		if err == nil {
+			err = io.EOF
+		}
+		return n, err
 	}
 	return f.File.ReadAt(p, off)
 }
 
 func (f *faultFile) WriteAt(p []byte, off int64) (int, error) {
-	f.ctl.writes++
-	if f.ctl.failWrite > 0 && f.ctl.writes >= f.ctl.failWrite {
+	if covers(off, len(p), f.ctl.failWriteAt) {
 		return 0, f.ctl.err
 	}
 	return f.File.WriteAt(p, off)
 }
 
-type faultDriver struct {
-	mem adio.Driver
-	ctl *faultCtl
+// wrapDriver opens files on mem and hands out each one wrapped in a test
+// double.
+type wrapDriver struct {
+	mem  adio.Driver
+	wrap func(adio.File) adio.File
 }
 
-func (d *faultDriver) Name() string { return "fault" }
-func (d *faultDriver) Open(path string, flags int, hints adio.Hints) (adio.File, error) {
+func (d *wrapDriver) Name() string { return "wrap" }
+func (d *wrapDriver) Open(path string, flags int, hints adio.Hints) (adio.File, error) {
 	f, err := d.mem.Open(path, flags, hints)
 	if err != nil {
 		return nil, err
 	}
-	return &faultFile{File: f, ctl: d.ctl}, nil
+	return d.wrap(f), nil
 }
-func (d *faultDriver) Delete(path string) error { return d.mem.Delete(path) }
+func (d *wrapDriver) Delete(path string) error { return d.mem.Delete(path) }
+
+// openWrapped seeds a fresh memory file with content and opens it for
+// read-write through wrap, with hints and faultView set. seed is a plain
+// handle on the same file.
+func openWrapped(t *testing.T, content []byte, wrap func(adio.File) adio.File, hints adio.Hints) (f *File, seed adio.File) {
+	t.Helper()
+	mem := adio.NewMemFS()
+	seed, err := mem.Open("/f", adio.O_RDWR|adio.O_CREATE, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { seed.Close() })
+	if len(content) > 0 {
+		if _, err := seed.WriteAt(content, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := &adio.Registry{}
+	reg.Register(&wrapDriver{mem: mem, wrap: wrap})
+	f, err = OpenLocal(reg, "wrap:/f", adio.O_RDWR, hints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	if err := f.SetView(faultView); err != nil {
+		t.Fatal(err)
+	}
+	return f, seed
+}
+
+// faultView with a faultBuf sieve buffer makes window k of a transfer from
+// logical offset 0 cover frames 4k..4k+3 (64 logical bytes) and start at
+// physical offset k*faultWin.
+var faultView = View{BlockLen: 16, Stride: 64}
+
+const (
+	faultBuf = "256"
+	faultWin = 4 * 64
+)
+
+// faultRun runs op on a file seeded with content, opened with hints
+// through fault injection configured by ctl. It returns op's result, the
+// physical file afterwards, and the sieve pool's gets and puts during op.
+func faultRun(t *testing.T, content []byte, ctl *faultCtl, hints adio.Hints, op func(f *File) (int, error)) (n int, err error, phys []byte, gets, puts int64) {
+	t.Helper()
+	f, seed := openWrapped(t, content, func(f adio.File) adio.File { return &faultFile{File: f, ctl: ctl} }, hints)
+	gets0, puts0 := sieveBufGets.Load(), sieveBufPuts.Load()
+	n, err = op(f)
+	gets, puts = sieveBufGets.Load()-gets0, sieveBufPuts.Load()-puts0
+	return n, err, contents(t, seed), gets, puts
+}
+
+// contents reads the whole of a driver file.
+func contents(t *testing.T, f adio.File) []byte {
+	t.Helper()
+	sz, err := f.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, sz)
+	if _, err := f.ReadAt(b, 0); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	return b
+}
 
 // TestSievePoolBalanceUnderErrors: every sieve window buffer is returned to
 // the pool, on the success path and on every injected-failure path — a
-// leaked window under WAN-latency RMW cycles would bleed the pool dry.
+// leaked window under WAN-latency RMW cycles would bleed the pool dry —
+// including failures that leave later windows' reads in flight. Where the
+// naive loop meets the same fault (every case but an RMW read, which the
+// naive write never issues), the sieved result matches its (n, err) and
+// physical file.
 func TestSievePoolBalanceUnderErrors(t *testing.T) {
 	boom := errors.New("injected device error")
-	run := func(failRead, failWrite int, op func(f *File) error) {
-		t.Helper()
-		ctl := &faultCtl{failRead: failRead, failWrite: failWrite, err: boom}
-		reg := &adio.Registry{}
-		reg.Register(&faultDriver{mem: adio.NewMemFS(), ctl: ctl})
-		f, err := OpenLocal(reg, "fault:/f", adio.O_RDWR|adio.O_CREATE,
-			adio.Hints{"listio": "off", "sieve_buf_size": "256"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		if err := f.SetView(View{BlockLen: 16, Stride: 64}); err != nil {
-			t.Fatal(err)
-		}
-		if err := op(f); err != nil && !errors.Is(err, boom) && err != io.EOF {
-			t.Fatalf("unexpected error: %v", err)
-		}
+	content := pattern(16*faultWin, 42)
+	data := pattern(1000, 7) // 16 windows
+	read := func(n int) func(f *File) (int, error) {
+		return func(f *File) (int, error) { return f.ReadAt(make([]byte, n), 0) }
 	}
-
-	data := pattern(1000, 42)
+	write := func(f *File) (int, error) { return f.WriteAt(data, 0) }
 	ops := []struct {
-		name                string
-		failRead, failWrite int
-		op                  func(f *File) error
+		name                           string
+		failReadAt, failWriteAt, eofAt int64
+		op                             func(f *File) (int, error)
+		naive                          bool  // the naive loop meets the fault too
+		reads                          int64 // sieved driver reads issued; 0 skips the check
 	}{
-		{"read ok", 0, 0, func(f *File) error { _, err := f.ReadAt(make([]byte, 500), 0); return err }},
-		{"read fails first window", 1, 0, func(f *File) error { _, err := f.ReadAt(make([]byte, 500), 0); return err }},
-		{"read fails second window", 2, 0, func(f *File) error { _, err := f.ReadAt(make([]byte, 500), 0); return err }},
-		{"write ok", 0, 0, func(f *File) error { _, err := f.WriteAt(data, 0); return err }},
-		{"write rmw read fails", 1, 0, func(f *File) error { _, err := f.WriteAt(data, 0); return err }},
-		{"write back fails", 0, 1, func(f *File) error { _, err := f.WriteAt(data, 0); return err }},
-		{"write back fails later window", 0, 2, func(f *File) error { _, err := f.WriteAt(data, 0); return err }},
+		{"read ok", noFault, noFault, noFault, read(500), true, 8},
+		{"read fails first window", 0, noFault, noFault, read(500), true, 0},
+		{"read fails second window", faultWin, noFault, noFault, read(500), true, 0},
+		// 6 windows: when window 3 (resp. 2) is consumed, every later
+		// window's read has been issued and must be drained.
+		{"read of 6 windows fails window 3", 3 * faultWin, noFault, noFault, read(6 * 64), true, 6},
+		{"read of 6 windows short in window 2", noFault, noFault, 2*faultWin + 64 + 8, read(6 * 64), true, 6},
+		{"write ok", noFault, noFault, noFault, write, true, 16},
+		{"write rmw read fails", 0, noFault, noFault, write, false, 0},
+		{"write rmw read fails later window", 5 * faultWin, noFault, noFault, write, false, 0},
+		{"write back fails", noFault, 0, noFault, write, true, 0},
+		{"write back fails later window", noFault, faultWin, noFault, write, true, 0},
 	}
 	for _, o := range ops {
 		t.Run(o.name, func(t *testing.T) {
-			gets0, puts0 := sieveBufGets.Load(), sieveBufPuts.Load()
-			// Seed the file so reads have something to sieve, then run the op.
-			run(0, 0, func(f *File) error { _, err := f.WriteAt(data, 0); return err })
-			run(o.failRead, o.failWrite, o.op)
-			gets, puts := sieveBufGets.Load()-gets0, sieveBufPuts.Load()-puts0
+			ctl := func() *faultCtl {
+				return &faultCtl{failReadAt: o.failReadAt, failWriteAt: o.failWriteAt, eofAt: o.eofAt, err: boom}
+			}
+			sctl := ctl()
+			n, err, phys, gets, puts := faultRun(t, content, sctl,
+				adio.Hints{"listio": "off", "sieve_buf_size": faultBuf}, o.op)
 			if gets != puts {
 				t.Fatalf("sieve pool imbalance: %d gets, %d puts", gets, puts)
 			}
 			if gets == 0 {
 				t.Fatal("op never took the sieved path")
 			}
+			if o.reads != 0 && sctl.reads.Load() != o.reads {
+				t.Fatalf("sieved path issued %d driver reads, want %d", sctl.reads.Load(), o.reads)
+			}
+			if !o.naive {
+				if !errors.Is(err, boom) {
+					t.Fatalf("sieved = (%d, %v), want the injected error", n, err)
+				}
+				return
+			}
+			wn, werr, wphys, _, _ := faultRun(t, content, ctl(), naiveHints, o.op)
+			if n != wn || err != werr {
+				t.Fatalf("sieved = (%d, %v), naive = (%d, %v)", n, err, wn, werr)
+			}
+			if !bytes.Equal(phys, wphys) {
+				t.Fatal("physical files differ between sieved and naive")
+			}
 		})
+	}
+}
+
+// gateFile is a sieve-overlap probe over a file of faultWin-sized windows.
+// Each window read marks started[k] and, when open is set, blocks until the
+// test closes open[k]; the peak number of reads in flight is recorded. A
+// write-back of window k waits for window k+1's read to start, counting a
+// late write-back if it has not started within a failsafe (once one is
+// late, later write-backs no longer wait).
+type gateFile struct {
+	adio.File
+	started []chan struct{}
+	open    []chan struct{} // nil: reads run ungated
+
+	mu             sync.Mutex
+	inFlight, peak int
+	late           int // write-backs that returned before the next window's read began
+}
+
+func newGateFile(f adio.File, windows int, gated bool) *gateFile {
+	g := &gateFile{File: f, started: make([]chan struct{}, windows)}
+	for k := range g.started {
+		g.started[k] = make(chan struct{})
+	}
+	if gated {
+		g.open = make([]chan struct{}, windows)
+		for k := range g.open {
+			g.open[k] = make(chan struct{})
+		}
+	}
+	return g
+}
+
+func (g *gateFile) ReadAt(p []byte, off int64) (int, error) {
+	k := off / faultWin
+	g.mu.Lock()
+	g.inFlight++
+	g.peak = max(g.peak, g.inFlight)
+	g.mu.Unlock()
+	close(g.started[k])
+	if g.open != nil {
+		<-g.open[k]
+	}
+	g.mu.Lock()
+	g.inFlight--
+	g.mu.Unlock()
+	return g.File.ReadAt(p, off)
+}
+
+func (g *gateFile) WriteAt(p []byte, off int64) (int, error) {
+	g.mu.Lock()
+	late := g.late
+	g.mu.Unlock()
+	if k := off / faultWin; k+1 < int64(len(g.started)) && late == 0 {
+		select {
+		case <-g.started[k+1]:
+		case <-time.After(5 * time.Second):
+			g.mu.Lock()
+			g.late++
+			g.mu.Unlock()
+		}
+	}
+	return g.File.WriteAt(p, off)
+}
+
+// TestSieveReadAheadDepth: a sieved read of more windows than the
+// read-ahead depth keeps exactly sieveReadAhead window reads in flight.
+// The gate releases window reads only in window order, and only once the
+// pipeline has issued every read it should have by then, so the depth is
+// proven by the reads' own concurrency, not by timing.
+func TestSieveReadAheadDepth(t *testing.T) {
+	const windows = 8
+	content := pattern(windows*faultWin, 11)
+	var g *gateFile
+	f, _ := openWrapped(t, content, func(f adio.File) adio.File {
+		g = newGateFile(f, windows, true)
+		return g
+	}, adio.Hints{"listio": "off", "sieve_buf_size": faultBuf})
+
+	buf := make([]byte, windows*64)
+	type result struct {
+		n   int
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		n, err := f.ReadAt(buf, 0)
+		done <- result{n, err}
+	}()
+	released := 0
+	defer func() {
+		for ; released < windows; released++ {
+			close(g.open[released])
+		}
+	}()
+	for ; released < windows; released++ {
+		// Before window k is released, windows k..k+depth-1 must all be
+		// in flight.
+		for j := released; j < min(released+sieveReadAhead, windows); j++ {
+			select {
+			case <-g.started[j]:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("window %d never issued while window %d was pending", j, released)
+			}
+		}
+		close(g.open[released])
+	}
+	r := <-done
+	if r.err != nil || r.n != len(buf) {
+		t.Fatalf("sieved read = (%d, %v), want (%d, nil)", r.n, r.err, len(buf))
+	}
+	for i := 0; i < windows; i++ {
+		want := content[i*64 : i*64+16]
+		if !bytes.Equal(buf[i*16:(i+1)*16], want) {
+			t.Fatalf("frame %d differs", i)
+		}
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if want := min(sieveReadAhead, windows); g.peak != want {
+		t.Fatalf("peak window reads in flight = %d, want %d", g.peak, want)
+	}
+}
+
+// TestSievedWriteOverlapsReadWithWriteBack: in a sieved write, window
+// k+1's read-modify-write read starts before window k's write-back
+// returns, and the file still ends up exactly as the naive loop leaves it.
+func TestSievedWriteOverlapsReadWithWriteBack(t *testing.T) {
+	const windows = 6
+	content := pattern(windows*faultWin, 13)
+	var g *gateFile
+	f, seed := openWrapped(t, content, func(f adio.File) adio.File {
+		g = newGateFile(f, windows, false)
+		return g
+	}, adio.Hints{"listio": "off", "sieve_buf_size": faultBuf})
+	data := pattern(windows*64, 99)
+	if n, err := f.WriteAt(data, 0); err != nil || n != len(data) {
+		t.Fatalf("sieved write = (%d, %v)", n, err)
+	}
+	g.mu.Lock()
+	late := g.late
+	g.mu.Unlock()
+	if late != 0 {
+		t.Fatalf("%d of %d write-backs returned before the next window's read started", late, windows-1)
+	}
+
+	naive, nseed := openWrapped(t, content, func(f adio.File) adio.File { return f }, naiveHints)
+	if _, err := naive.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(contents(t, seed), contents(t, nseed)) {
+		t.Fatal("physical files differ between sieved and naive")
+	}
+}
+
+// holdWrite blocks the first WriteAt through it until release is closed,
+// closing entered when it arrives.
+type holdWrite struct {
+	adio.File
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (h *holdWrite) WriteAt(p []byte, off int64) (int, error) {
+	h.once.Do(func() {
+		close(h.entered)
+		<-h.release
+	})
+	return h.File.WriteAt(p, off)
+}
+
+// TestSievedWritesLockAcrossHandles: two handles on one path (two ranks'
+// handles, say) write interleaved records through sieve windows that cover
+// each other's records. The second handle's read-modify-write must wait
+// for the first one's write-back, or one of them writes back stale bytes
+// over the other's records.
+func TestSievedWritesLockAcrossHandles(t *testing.T) {
+	const rec, nrec = 8, 16
+	entered, release := make(chan struct{}), make(chan struct{})
+	opened := 0
+	reg := &adio.Registry{}
+	reg.Register(&wrapDriver{mem: adio.NewMemFS(), wrap: func(f adio.File) adio.File {
+		opened++
+		if opened == 1 {
+			return &holdWrite{File: f, entered: entered, release: release}
+		}
+		return f
+	}})
+	write := func(rank int) chan error {
+		f, err := OpenLocal(reg, "wrap:/f", adio.O_RDWR|adio.O_CREATE, adio.Hints{"listio": "off"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		if err := f.SetView(View{Disp: int64(rank * rec), BlockLen: rec, Stride: 2 * rec}); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := f.WriteAt(bytes.Repeat([]byte{byte('A' + rank)}, rec*nrec), 0)
+			done <- err
+		}()
+		return done
+	}
+	aDone := write(0)
+	<-entered // handle A has read its window and is writing it back
+	bDone := write(1)
+	select {
+	case err := <-bDone:
+		t.Fatalf("handle B's sieved write (err %v) completed inside handle A's read-modify-write cycle", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-aDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-bDone; err != nil {
+		t.Fatal(err)
+	}
+	got := physContents(t, reg, "wrap:/f")
+	for i := 0; i < 2*nrec; i++ {
+		if want := byte('A' + i%2); !bytes.Equal(got[i*rec:(i+1)*rec], bytes.Repeat([]byte{want}, rec)) {
+			t.Fatalf("record %d = %q, want %c", i, got[i*rec:(i+1)*rec], want)
+		}
 	}
 }
 

@@ -75,6 +75,7 @@ type Server struct {
 	defaultRes string
 
 	handleSeq int64
+	createMu  sync.Mutex // serializes creating opens (see lookupForOpen)
 
 	limits   Limits       // immutable after first Serve/ServeConn; see SetLimits
 	inflight atomic.Int64 // requests currently dispatching
@@ -785,41 +786,10 @@ func (ss *session) open(req *request) response {
 		resource = string(req.data)
 	}
 
-	e, err := s.cat.Lookup(req.path)
-	switch {
-	case err == nil:
-		if e.Type == mcat.TypeCollection {
-			return errResp(ErrIsDir)
-		}
-		if flags&O_EXCL != 0 && flags&O_CREATE != 0 {
-			return errResp(ErrExists)
-		}
-	case err == mcat.ErrNotFound && flags&O_CREATE != 0:
-		e, err = s.cat.CreateFileAs(req.path, resource, ss.owner())
-		if err == mcat.ErrExists && flags&O_EXCL == 0 {
-			// Another session created the path between the lookup and
-			// the create: open its entry instead. The physical create
-			// below tolerates ErrExists, so whichever session gets there
-			// first makes the object.
-			e, err = s.cat.Lookup(req.path)
-			if err == nil && e.Type == mcat.TypeCollection {
-				return errResp(ErrIsDir)
-			}
-		}
-		if err != nil {
-			return errResp(mapCatErr(err))
-		}
-		st, serr := s.store(e.Resource)
-		if serr != nil {
-			return errResp(serr)
-		}
-		if _, cerr := st.Create(e.PhysicalKey); cerr != nil && cerr != storage.ErrExists {
-			return errResp(fmt.Errorf("%w: %v", ErrIO, cerr))
-		}
-	default:
-		return errResp(mapCatErr(err))
+	e, err := s.lookupForOpen(req.path, resource, ss.owner(), flags)
+	if err != nil {
+		return errResp(err)
 	}
-
 	obj, err := s.openPhysical(e)
 	if err != nil {
 		return errResp(err)
@@ -842,6 +812,53 @@ func (ss *session) open(req *request) response {
 	ss.files[h] = of
 	atomic.AddInt64(&s.stats.OpenHandles, 1)
 	return response{value: int64(h)}
+}
+
+// lookupForOpen resolves an open's catalog entry, creating the file —
+// catalog entry and physical object — when flags allow. Creating opens hold
+// createMu across the lookup and both creates: the catalog entry becomes
+// visible before its object exists, and a racing creator that found it in
+// that gap would fail to open the object.
+func (s *Server) lookupForOpen(path, resource, owner string, flags uint32) (*mcat.Entry, error) {
+	if flags&O_CREATE != 0 {
+		s.createMu.Lock()
+		defer s.createMu.Unlock()
+	}
+	e, err := s.cat.Lookup(path)
+	switch {
+	case err == nil:
+		if e.Type == mcat.TypeCollection {
+			return nil, ErrIsDir
+		}
+		if flags&O_EXCL != 0 && flags&O_CREATE != 0 {
+			return nil, ErrExists
+		}
+		return e, nil
+	case err == mcat.ErrNotFound && flags&O_CREATE != 0:
+		e, err = s.cat.CreateFileAs(path, resource, owner)
+		if err == mcat.ErrExists && flags&O_EXCL == 0 {
+			// Something other than a creating open (a rename) made the
+			// path between the lookup and the create: open its entry
+			// instead. The physical create below tolerates ErrExists.
+			e, err = s.cat.Lookup(path)
+			if err == nil && e.Type == mcat.TypeCollection {
+				return nil, ErrIsDir
+			}
+		}
+		if err != nil {
+			return nil, mapCatErr(err)
+		}
+		st, err := s.store(e.Resource)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := st.Create(e.PhysicalKey); err != nil && err != storage.ErrExists {
+			return nil, fmt.Errorf("%w: %v", ErrIO, err)
+		}
+		return e, nil
+	default:
+		return nil, mapCatErr(err)
+	}
 }
 
 func (ss *session) lookupHandle(h int32) (*openFile, error) {
