@@ -141,16 +141,14 @@ func (d *FedFS) Delete(path string) error {
 	if !ok {
 		return fmt.Errorf("%w: no placement for %s", srb.ErrNotFound, path)
 	}
-	var first error
-	for slot, servers := range slots {
-		for _, server := range servers {
-			err := d.subs[server].Delete(SlotPath(path, slot))
-			if err != nil && !errors.Is(err, srb.ErrNotFound) && first == nil {
-				first = err
-			}
+	return fanOut(replicaCount(slots), func(i int) error {
+		k := replicaAt(slots, i)
+		err := d.subs[k.server].Delete(SlotPath(path, k.slot))
+		if errors.Is(err, srb.ErrNotFound) {
+			return nil
 		}
-	}
-	return first
+		return err
+	}, callAt)
 }
 
 // Open implements adio.Driver. The placement is decided (or recalled) by
@@ -184,6 +182,7 @@ func (d *FedFS) Open(path string, flags int, hints adio.Hints) (adio.File, error
 		stripe:    stripe,
 		width:     len(slots),
 		slots:     slots,
+		replicas:  replicaCount(slots),
 		hints:     hints,
 		lazyFlags: flags &^ (adio.O_TRUNC | adio.O_EXCL),
 		async:     d.cfg.Async,
@@ -191,19 +190,58 @@ func (d *FedFS) Open(path string, flags int, hints adio.Hints) (adio.File, error
 		repSem:    make(chan struct{}, fedReplicaDepth),
 	}
 	if flags&(adio.O_TRUNC|adio.O_EXCL) != 0 {
-		for slot, servers := range slots {
-			for _, server := range servers {
-				h, err := d.subs[server].Open(SlotPath(path, slot), flags, hints)
-				if err != nil {
-					//lint:allow errdrop -- unwinding a partially-opened slot set; the open error is returned
-					f.Close()
-					return nil, err
-				}
-				f.handles[handleKey{server, slot}] = h
+		hs := make([]adio.File, f.replicas)
+		openOne := func(i int) error {
+			k := replicaAt(slots, i)
+			h, err := d.subs[k.server].Open(SlotPath(path, k.slot), flags, hints)
+			hs[i] = h
+			return err
+		}
+		// The slot files open concurrently, except that an exclusive
+		// create runs the primary of slot 0 first: a file that already
+		// exists fails there, before any other slot file is made.
+		var err error
+		if flags&adio.O_EXCL != 0 {
+			if err = openOne(0); err == nil {
+				err = fanOut(f.replicas-1, func(k int) error { return openOne(k + 1) }, callAt)
 			}
+		} else {
+			err = fanOut(f.replicas, openOne, callAt)
+		}
+		for i, h := range hs {
+			if h != nil {
+				f.handles[replicaAt(slots, i)] = h
+			}
+		}
+		if err != nil {
+			//lint:allow errdrop -- unwinding a partially-opened slot set; the open error is returned
+			f.Close()
+			return nil, err
 		}
 	}
 	return f, nil
+}
+
+// replicaCount is the number of (server, slot) pairs of a placement.
+func replicaCount(slots []mcat.ReplicaSet) int {
+	n := 0
+	for _, servers := range slots {
+		n += len(servers)
+	}
+	return n
+}
+
+// replicaAt is the i-th (server, slot) pair of a placement, counting slot
+// by slot and each slot's servers in placement order (primary first):
+// the order in which control operations over a handle's replicas report
+// errors.
+func replicaAt(slots []mcat.ReplicaSet, i int) handleKey {
+	slot := 0
+	for i >= len(slots[slot]) {
+		i -= len(slots[slot])
+		slot++
+	}
+	return handleKey{slots[slot][i], slot}
 }
 
 // handleKey addresses one per-slot file handle on one server.
@@ -230,6 +268,7 @@ type fedFile struct {
 	stripe    int64
 	width     int
 	slots     []mcat.ReplicaSet
+	replicas  int // (server, slot) pairs across slots
 	hints     adio.Hints
 	lazyFlags int
 	async     bool
@@ -537,24 +576,20 @@ func (f *fedFile) slotSize(slot int) (int64, error) {
 // trailing replica write cannot resurrect truncated bytes.
 func (f *fedFile) Truncate(size int64) error {
 	f.repWG.Wait()
-	for slot, servers := range f.slots {
-		local := slotSpan(size, f.stripe, f.width, slot)
-		for _, server := range servers {
-			h, err := f.getHandle(server, slot)
-			if err != nil {
-				return err
-			}
-			if err := h.Truncate(local); err != nil {
-				return err
-			}
+	return fanOut(f.replicas, func(i int) error {
+		k := replicaAt(f.slots, i)
+		h, err := f.getHandle(k.server, k.slot)
+		if err != nil {
+			return err
 		}
-	}
-	return nil
+		return h.Truncate(slotSpan(size, f.stripe, f.width, k.slot))
+	}, callAt)
 }
 
 // Sync implements adio.File: the async replication backlog is drained,
 // the first replication failure (if any) surfaces here, and every open
-// slot handle syncs. After a successful Sync the replica sets are
+// slot handle syncs, all concurrently (the first error in replicaAt
+// order is returned). After a successful Sync the replica sets are
 // convergent — the async divergence window is closed.
 func (f *fedFile) Sync() error {
 	f.repWG.Wait()
@@ -564,21 +599,36 @@ func (f *fedFile) Sync() error {
 	if err != nil {
 		return err
 	}
-	for _, h := range f.openHandles() {
-		if err := h.Sync(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return fanOut(f.replicas, f, (*fedFile).syncReplica)
 }
 
-// openHandles snapshots the live slot handles.
+// syncReplica syncs the replicaAt(i) handle if it is open.
+func (f *fedFile) syncReplica(i int) error {
+	k := replicaAt(f.slots, i)
+	f.mu.Lock()
+	h := f.handles[k]
+	f.mu.Unlock()
+	if h == nil {
+		return nil
+	}
+	return h.Sync()
+}
+
+// openHandles snapshots the live slot handles in replicaAt order, never
+// map order, so the first error reported over them is the same from run
+// to run.
 func (f *fedFile) openHandles() []adio.File {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]adio.File, 0, len(f.handles))
-	for _, h := range f.handles {
-		out = append(out, h)
+	return inPlacementOrder(f.slots, f.handles)
+}
+
+func inPlacementOrder(slots []mcat.ReplicaSet, handles map[handleKey]adio.File) []adio.File {
+	out := make([]adio.File, 0, len(handles))
+	for i, n := 0, replicaCount(slots); i < n; i++ {
+		if h, ok := handles[replicaAt(slots, i)]; ok {
+			out = append(out, h)
+		}
 	}
 	return out
 }
@@ -599,22 +649,21 @@ func (f *fedFile) FaultStats() FaultStats {
 }
 
 // Close implements adio.File: the async backlog drains, every slot handle
-// closes, and the first error — a held replication failure first — is
-// returned.
+// closes concurrently, and the first error — a held replication failure
+// first, then in openHandles order — is returned.
 func (f *fedFile) Close() error {
 	f.repWG.Wait()
 	f.mu.Lock()
 	f.closed = true
-	handles := f.handles
+	hs := inPlacementOrder(f.slots, f.handles)
 	f.handles = nil
 	f.mu.Unlock()
 	f.repMu.Lock()
 	first := f.repErr
 	f.repMu.Unlock()
-	for _, h := range handles {
-		if err := h.Close(); err != nil && first == nil {
-			first = err
-		}
+	err := fanOut(len(hs), hs, func(hs []adio.File, i int) error { return hs[i].Close() })
+	if first == nil {
+		first = err
 	}
 	return first
 }

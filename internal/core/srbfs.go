@@ -101,7 +101,7 @@ func (d *SRBFS) Name() string { return "srb" }
 
 // Delete implements adio.Driver.
 func (d *SRBFS) Delete(path string) error {
-	conn, err := d.connect()
+	conn, err := d.connect(d.cfg.Dial)
 	if err != nil {
 		return err
 	}
@@ -109,11 +109,11 @@ func (d *SRBFS) Delete(path string) error {
 	return conn.Unlink(path)
 }
 
-// connect dials and handshakes one connection, retrying transient dial
-// failures under the configured policy and installing its per-operation
-// deadline.
-func (d *SRBFS) connect() (*srb.Conn, error) {
-	conn, err := srb.DialRetryAuth(d.cfg.Dial, d.cfg.User, d.cfg.Tenant, d.cfg.Retry)
+// connect dials (through dial, the endpoint's DialFunc or a stream's view
+// of it) and handshakes one connection, retrying transient dial failures
+// under the configured policy and installing its per-operation deadline.
+func (d *SRBFS) connect(dial DialFunc) (*srb.Conn, error) {
+	conn, err := srb.DialRetryAuth(dial, d.cfg.User, d.cfg.Tenant, d.cfg.Retry)
 	if err != nil {
 		return nil, fmt.Errorf("core: dial SRB server: %w", err)
 	}
@@ -151,26 +151,50 @@ func (d *SRBFS) Open(path string, flags int, hints adio.Hints) (adio.File, error
 		budget:      d.cfg.ReconnectBudget,
 		tracer:      d.cfg.Tracer,
 	}
-	for i := 0; i < streams; i++ {
-		// Only the first stream may truncate or exclusive-create;
-		// the rest reopen the now-existing file (O_CREATE is kept so
-		// the open cannot race with another node's create).
+	f.streams = make([]*stream, streams)
+	var dials *dialSeq
+	if streams > 1 {
+		dials = newDialSeq(d.cfg.Dial)
+	}
+	openOne := func(i int) error {
+		dial := d.cfg.Dial
+		if dials != nil {
+			dial = dials.forStream(i)
+		}
 		sf := flags
 		if i > 0 {
+			// Only the first stream may truncate or exclusive-create;
+			// the rest reopen the file (O_CREATE is kept so the open
+			// cannot race with another node's create).
 			sf = f.reopenFlags
 		}
-		conn, file, err := d.openStream(path, sf)
+		conn, file, err := d.openStream(dial, path, sf)
 		if err != nil {
-			//lint:allow errdrop -- unwinding a partially-opened stripe set; the open error is returned
-			f.Close()
-			return nil, err
+			return err
 		}
-		f.streams = append(f.streams, &stream{
-			conn:     conn,
-			file:     file,
-			readCtr:  fmt.Sprintf("srbfs.stream%d.read_bytes", i),
-			writeCtr: fmt.Sprintf("srbfs.stream%d.write_bytes", i),
-		})
+		s := &stream{conn: conn, file: file}
+		if f.tracer != nil {
+			s.readCtr = fmt.Sprintf("srbfs.stream%d.read_bytes", i)
+			s.writeCtr = fmt.Sprintf("srbfs.stream%d.write_bytes", i)
+		}
+		f.streams[i] = s
+		return nil
+	}
+	// The streams open concurrently. An exclusive create goes first on
+	// its own: a sibling's O_CREATE reopen landing before it would make
+	// the file and fail the create with ErrExists.
+	var err error
+	if flags&adio.O_EXCL != 0 && streams > 1 {
+		if err = openOne(0); err == nil {
+			err = fanOut(streams-1, func(k int) error { return openOne(k + 1) }, callAt)
+		}
+	} else {
+		err = fanOut(streams, openOne, callAt)
+	}
+	if err != nil {
+		//lint:allow errdrop -- unwinding a partially-opened stripe set; the open error is returned
+		f.Close()
+		return nil, err
 	}
 	return f, nil
 }
@@ -181,7 +205,7 @@ func (d *SRBFS) Open(path string, flags int, hints adio.Hints) (adio.File, error
 // the window between a successful handshake and the open reply is as
 // transient as a refused dial, and a server shedding load answers the
 // open with ErrServerBusy, which deserves the same backed-off replay.
-func (d *SRBFS) openStream(path string, flags int) (*srb.Conn, *srb.File, error) {
+func (d *SRBFS) openStream(dial DialFunc, path string, flags int) (*srb.Conn, *srb.File, error) {
 	attempts := d.cfg.Retry.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
@@ -191,7 +215,7 @@ func (d *SRBFS) openStream(path string, flags int) (*srb.Conn, *srb.File, error)
 		if i > 0 {
 			time.Sleep(d.cfg.Retry.BackoffFor(i-1, lastErr))
 		}
-		conn, err := d.connect()
+		conn, err := d.connect(dial)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -209,6 +233,47 @@ func (d *SRBFS) openStream(path string, flags int) (*srb.Conn, *srb.File, error)
 	return nil, nil, fmt.Errorf("core: open %s: giving up after %d attempts: %w", path, attempts, lastErr)
 }
 
+// dialSeq keeps a concurrent multi-stream open's dials in stream order:
+// the first dial of stream i is the i-th call to the endpoint's DialFunc,
+// exactly as in a serial open, while the handshakes and open RPCs that
+// follow each dial overlap. Redials after a failed attempt go straight to
+// the endpoint.
+type dialSeq struct {
+	dial DialFunc
+	mu   sync.Mutex
+	cond sync.Cond // L is &mu
+	next int       // guarded by mu; the stream whose first dial is due
+}
+
+func newDialSeq(dial DialFunc) *dialSeq {
+	q := &dialSeq{dial: dial}
+	q.cond.L = &q.mu
+	return q
+}
+
+// forStream returns stream i's dialer. Its first call waits until streams
+// 0..i-1 have dialed; every stream dials before anything else, so the
+// chain always advances. Once next has passed i, a call is a redial.
+func (q *dialSeq) forStream(i int) DialFunc {
+	return func() (net.Conn, error) {
+		q.mu.Lock()
+		for q.next < i {
+			q.cond.Wait()
+		}
+		redial := q.next > i
+		q.mu.Unlock()
+		if redial {
+			return q.dial()
+		}
+		c, err := q.dial()
+		q.mu.Lock()
+		q.next++
+		q.mu.Unlock()
+		q.cond.Broadcast()
+		return c, err
+	}
+}
+
 // stream is one TCP stream of a striped handle. Its connection and file
 // handle are replaced in place by a reconnect; gen counts replacements so
 // concurrent workers that observed the same dead connection perform only
@@ -219,7 +284,8 @@ type stream struct {
 	conn *srb.Conn // guarded by mu
 	file *srb.File // guarded by mu
 
-	// Trace counter names for this stream's traffic; immutable after Open.
+	// Trace counter names for this stream's traffic, set only when the
+	// handle has a tracer; immutable after Open.
 	// They are silent counters (aggregate only), so concurrent stripes on
 	// different streams never perturb trace event order.
 	readCtr  string
@@ -820,51 +886,58 @@ func (f *srbFile) Truncate(size int64) error {
 	return file.Truncate(size)
 }
 
-// Sync implements adio.File, syncing every stream.
+// Sync implements adio.File, syncing every stream concurrently (a single
+// stream syncs inline, allocating nothing).
 func (f *srbFile) Sync() error {
-	for _, s := range f.streams {
-		file, _ := s.handle()
-		if file == nil {
-			continue // disconnected stream has nothing buffered
-		}
-		if err := file.Sync(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return fanOut(len(f.streams), f, (*srbFile).syncStream)
 }
 
-// Close implements adio.File, closing every stream's file and connection.
-// It also retires the reconnect budget so no in-flight op redials a
-// stream after the handle is gone.
+func (f *srbFile) syncStream(i int) error {
+	file, _ := f.streams[i].handle()
+	if file == nil {
+		return nil // disconnected stream has nothing buffered
+	}
+	return file.Sync()
+}
+
+// Close implements adio.File, closing every stream's file and connection
+// concurrently; the first error in stream order is returned. It also
+// retires the reconnect budget so no in-flight op redials a stream after
+// the handle is gone.
 func (f *srbFile) Close() error {
 	f.mu.Lock()
 	f.closed = true
 	f.mu.Unlock()
+	err := fanOut(len(f.streams), f, (*srbFile).closeStream)
+	f.streams = nil
+	return err
+}
+
+// closeStream closes stream i's file, then its connection. A nil stream
+// is a slot a failed Open never filled.
+func (f *srbFile) closeStream(i int) error {
+	s := f.streams[i]
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	file, conn := s.file, s.conn
+	s.file, s.conn = nil, nil
+	s.mu.Unlock()
 	var first error
-	for _, s := range f.streams {
-		if s == nil {
-			continue
-		}
-		s.mu.Lock()
-		file, conn := s.file, s.conn
-		s.file, s.conn = nil, nil
-		s.mu.Unlock()
-		if file != nil {
-			// The close RPC is best-effort on a dead transport: the
-			// server releases a killed connection's handles itself, so a
-			// retryable (transport-class) failure here means there is
-			// nothing left to release, not a close that went wrong.
-			if err := file.Close(); err != nil && first == nil && !srb.Retryable(err) {
-				first = err
-			}
-		}
-		if conn != nil {
-			if err := conn.Close(); err != nil && first == nil {
-				first = err
-			}
+	if file != nil {
+		// The close RPC is best-effort on a dead transport: the server
+		// releases a killed connection's handles itself, so a retryable
+		// (transport-class) failure here means there is nothing left to
+		// release, not a close that went wrong.
+		if err := file.Close(); err != nil && !srb.Retryable(err) {
+			first = err
 		}
 	}
-	f.streams = nil
+	if conn != nil {
+		if err := conn.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
 	return first
 }
