@@ -11,12 +11,15 @@ import (
 	"semplar/internal/storage"
 )
 
-// TestSingleStreamSyncAllocs pins the single-stream Sync, the small-op
-// path's only control RPC, at zero heap allocations across client, wire
-// and server: the fan-out over streams must not cost a goroutine, a
-// closure or a join state when there is one stream. The transport is
-// net.Pipe, which allocates nothing per message.
+// TestSingleStreamSyncAllocs pins the single-stream small-op path at zero
+// heap allocations across client, wire and server; the transport is
+// net.Pipe, which allocates nothing per message. For Sync, the small-op
+// path's only control RPC, the fan-out over streams must not cost a
+// goroutine, a closure or a join state when there is one stream. For a
+// 512 B WriteAt and ReadAt, the replay loop must keep the closure that
+// carries the op on the stack: an escaping one costs 1 alloc/op.
 func TestSingleStreamSyncAllocs(t *testing.T) {
+	const opSize = 512
 	srv := srb.NewMemServer(storage.DeviceSpec{})
 	fs, err := NewSRBFS(SRBFSConfig{Dial: func() (net.Conn, error) {
 		c, s := net.Pipe()
@@ -31,21 +34,31 @@ func TestSingleStreamSyncAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	var syncErr error
-	sync := func() {
-		if err := f.Sync(); err != nil {
-			syncErr = err
+	buf := make([]byte, opSize)
+	for _, tc := range []struct {
+		name string
+		op   func() error
+	}{
+		{"Sync", f.Sync},
+		{"WriteAt", func() error { _, err := f.WriteAt(buf, opSize); return err }},
+		{"ReadAt", func() error { _, err := f.ReadAt(buf, opSize); return err }},
+	} {
+		var opErr error
+		run := func() {
+			if err := tc.op(); err != nil {
+				opErr = err
+			}
 		}
-	}
-	for i := 0; i < 100; i++ {
-		sync() // warm the pending-call and buffer pools
-	}
-	allocs := testing.AllocsPerRun(1000, sync)
-	if syncErr != nil {
-		t.Fatal(syncErr)
-	}
-	if allocs != 0 {
-		t.Fatalf("single-stream Sync: %v allocs/op, want 0", allocs)
+		for i := 0; i < 100; i++ {
+			run() // warm the pending-call and buffer pools
+		}
+		allocs := testing.AllocsPerRun(1000, run)
+		if opErr != nil {
+			t.Fatalf("%s: %v", tc.name, opErr)
+		}
+		if allocs != 0 {
+			t.Errorf("single-stream %s: %v allocs/op, want 0", tc.name, allocs)
+		}
 	}
 }
 

@@ -335,7 +335,7 @@ type fedOp struct {
 
 // splitFed cuts [off, off+len(p)) on stripe boundaries and translates
 // each piece to its slot file: global block b -> slot b%width, local
-// offset (b/width)*stripe + in-block remainder.
+// offset (b/width)*stripe + in-block remainder. off must not be negative.
 func (f *fedFile) splitFed(p []byte, off int64) []fedOp {
 	var ops []fedOp
 	for len(p) > 0 {
@@ -393,6 +393,9 @@ func slotEnd(local, stripe int64, width, slot int) int64 {
 // replica; stripes past the first failure are excluded even if they
 // succeeded out of order, the same contract as the single-server path.
 func (f *fedFile) WriteAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, negativeOffset(off)
+	}
 	ops := f.splitFed(p, off)
 	// results[i][r]: op i on replica r of its slot (async: primary only).
 	results := make([][]opResult, len(ops))
@@ -488,6 +491,9 @@ func (f *fedFile) queueReplica(server string, o fedOp) {
 // the contiguous prefix actually available, with io.EOF when it ends
 // before len(p).
 func (f *fedFile) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, negativeOffset(off)
+	}
 	ops := f.splitFed(p, off)
 	results := make([]opResult, len(ops))
 	var wg sync.WaitGroup

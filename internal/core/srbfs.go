@@ -368,12 +368,25 @@ func (f *srbFile) FaultStats() FaultStats {
 	}
 }
 
-// doOp runs one explicit-offset operation on a stream, retrying under the
-// driver's policy: a retryable failure (dead connection, timeout) backs
-// off, redials the stream, reopens the handle and replays the op. The
-// returned byte count always describes the final attempt — a replayed op
-// reports its true full count, never partial progress from a dead stream.
+// doOp runs one explicit-offset read or write of buf at off on a stream,
+// under the driver's retry policy (see retryOp).
 func (f *srbFile) doOp(s *stream, write bool, buf []byte, off int64) (int, error) {
+	if write {
+		return f.retryOp(s, true, func(file *srb.File) (int, error) { return file.WriteAt(buf, off) })
+	}
+	return f.retryOp(s, false, func(file *srb.File) (int, error) { return file.ReadAt(buf, off) })
+}
+
+// retryOp runs one explicit-offset operation (a contiguous or vectored
+// read or write) on a stream, retrying under the driver's policy: a
+// retryable failure (dead connection, timeout) backs off, redials the
+// stream, reopens the handle and replays the op. It is the only replay
+// point of the data path. The returned byte count always describes the
+// final attempt — a replayed op reports its true full count, never partial
+// progress from a dead stream. write picks the stream's byte counter, and
+// io.EOF counts as success only for reads: it is a result, returned with
+// the prefix count.
+func (f *srbFile) retryOp(s *stream, write bool, run func(*srb.File) (int, error)) (int, error) {
 	pol := f.fs.cfg.Retry
 	var n int
 	var err error
@@ -381,10 +394,8 @@ func (f *srbFile) doOp(s *stream, write bool, buf []byte, off int64) (int, error
 		file, gen := s.handle()
 		if file == nil {
 			n, err = 0, errStreamDown
-		} else if write {
-			n, err = file.WriteAt(buf, off)
 		} else {
-			n, err = file.ReadAt(buf, off)
+			n, err = run(file)
 		}
 		if err == nil || (!write && errors.Is(err, io.EOF)) {
 			if attempt > 0 {
@@ -490,8 +501,22 @@ type op struct {
 	buf    []byte
 }
 
+type opResult struct {
+	n   int
+	err error
+}
+
+// negativeOffset rejects an explicit offset below zero before any request
+// is built. The SRB wire reads a negative offset as "use the file
+// pointer", so passing one through would turn an explicit-offset op into a
+// file-pointer op that a replay could not safely repeat. ErrInvalid is
+// terminal, so the rejection is never retried.
+func negativeOffset(off int64) error {
+	return fmt.Errorf("core: %w: negative offset %d", srb.ErrInvalid, off)
+}
+
 // splitStripes cuts [off, off+len(p)) on stripe boundaries and assigns
-// each piece round-robin to a stream.
+// each piece round-robin to a stream. off must not be negative.
 func (f *srbFile) splitStripes(p []byte, off int64) []op {
 	n := len(f.streams)
 	var ops []op
@@ -513,17 +538,33 @@ func (f *srbFile) splitStripes(p []byte, off int64) []op {
 	return ops
 }
 
-// runStriped executes the ops concurrently, one worker per stream. Writes
-// coalesce a stream's stripes into vectored frames (unless DisableCoalesce)
-// so k stripes cost roughly one round trip instead of k; reads exploit
-// connection pipelining by keeping several stripes in flight per stream.
-func (f *srbFile) runStriped(ops []op, write bool) []opResult {
+// splitVecs cuts each vector segment on stripe boundaries, preserving
+// segment order. With one stream everything lands on stream 0 and the wire
+// codec re-merges contiguous pieces, so the split costs table entries only
+// when it buys stream parallelism.
+func (f *srbFile) splitVecs(vecs []adio.Vec) ([]op, error) {
+	var ops []op
+	for _, v := range vecs {
+		if len(v.Buf) == 0 {
+			continue
+		}
+		if v.Off < 0 {
+			return nil, negativeOffset(v.Off)
+		}
+		ops = append(ops, f.splitStripes(v.Buf, v.Off)...)
+	}
+	return ops, nil
+}
+
+// runStriped executes the ops concurrently, one worker per stream: each
+// worker hands its stream's ops to perStream — writeStream, readStream or
+// readvStream — which fills in their results.
+func (f *srbFile) runStriped(ops []op, perStream func(*srbFile, *stream, []op, []int, []opResult)) []opResult {
 	results := make([]opResult, len(ops))
 	byStream := make([][]int, len(f.streams))
 	for i, o := range ops {
 		byStream[o.stream] = append(byStream[o.stream], i)
 	}
-	coalesce := write && !f.fs.cfg.DisableCoalesce
 	var wg sync.WaitGroup
 	for s, idxs := range byStream {
 		if len(idxs) == 0 {
@@ -532,98 +573,32 @@ func (f *srbFile) runStriped(ops []op, write bool) []opResult {
 		wg.Add(1)
 		go func(s int, idxs []int) {
 			defer wg.Done()
-			st := f.streams[s]
-			switch {
-			case coalesce && len(idxs) > 1:
-				f.writevStream(st, ops, idxs, results)
-			case write:
-				for _, i := range idxs {
-					o := ops[i]
-					n, err := f.doOp(st, true, o.buf, o.off)
-					results[i] = opResult{n: n, err: err}
-				}
-			default:
-				f.readStream(st, ops, idxs, results)
-			}
+			perStream(f, f.streams[s], ops, idxs, results)
 		}(s, idxs)
 	}
 	wg.Wait()
 	return results
 }
 
-// doWritev runs one stream's batch of stripe writes as vectored frames,
-// retrying the whole vector under the driver's policy. Every segment is an
+// writeStream writes one stream's stripes. Unless DisableCoalesce is set,
+// several stripes coalesce into vectored opWritev frames, so k stripes
+// cost roughly one round trip instead of k. Every segment is an
 // absolute-offset write, so a replay after a mid-vector transport failure
 // converges to the same file contents, exactly like a replayed WriteAt.
-func (f *srbFile) doWritev(s *stream, segs []srb.WriteSeg) (int, error) {
-	pol := f.fs.cfg.Retry
-	var n int
-	var err error
-	for attempt := 0; ; attempt++ {
-		file, gen := s.handle()
-		if file == nil {
-			n, err = 0, errStreamDown
-		} else {
-			n, err = file.WriteAtVec(segs)
+func (f *srbFile) writeStream(st *stream, ops []op, idxs []int, results []opResult) {
+	if len(idxs) == 1 || f.fs.cfg.DisableCoalesce {
+		for _, i := range idxs {
+			n, err := f.doOp(st, true, ops[i].buf, ops[i].off)
+			results[i] = opResult{n: n, err: err}
 		}
-		if err == nil {
-			if attempt > 0 {
-				f.retriedOps.Add(1)
-				f.tracer.Count("srbfs.retried_ops", 1)
-			}
-			f.tracer.Count(s.writeCtr, int64(n))
-			return n, nil
-		}
-		if !pol.Enabled() || !srb.Retryable(err) {
-			return n, err
-		}
-		if attempt+1 >= pol.MaxAttempts {
-			return n, fmt.Errorf("core: giving up after %d attempts: %w", attempt+1, err)
-		}
-		time.Sleep(pol.BackoffFor(attempt, err))
-		if errors.Is(err, srb.ErrServerBusy) || errors.Is(err, srb.ErrRateLimited) {
-			continue
-		}
-		if rerr := f.recoverStream(s, gen); rerr != nil {
-			if !srb.Retryable(rerr) {
-				return n, rerr
-			}
-		}
+		return
 	}
-}
-
-// writevStream coalesces one stream's stripes into vectored opWritev
-// frames. The server applies segments in order and acknowledges a byte
-// total, so results are distributed greedily over the ops in offset order
-// and the error (if any) lands on the first op that came up short.
-func (f *srbFile) writevStream(st *stream, ops []op, idxs []int, results []opResult) {
 	segs := make([]srb.WriteSeg, len(idxs))
 	for k, i := range idxs {
 		segs[k] = srb.WriteSeg{Off: ops[i].off, Data: ops[i].buf}
 	}
-	n, err := f.doWritev(st, segs)
-	rem := n
-	attached := err == nil
-	for _, i := range idxs {
-		want := len(ops[i].buf)
-		got := want
-		if rem < got {
-			got = rem
-		}
-		rem -= got
-		r := opResult{n: got}
-		if got < want && !attached {
-			r.err = err
-			attached = true
-		}
-		results[i] = r
-	}
-	if !attached {
-		// Every byte was acknowledged yet the vector still failed (e.g. a
-		// transport tear after the last frame's reply was consumed): the
-		// error belongs past the end of the run.
-		results[idxs[len(idxs)-1]].err = err
-	}
+	n, err := f.retryOp(st, true, func(file *srb.File) (int, error) { return file.WriteAtVec(segs) })
+	distribute(ops, idxs, results, n, err)
 }
 
 // readPipelineDepth bounds concurrent explicit-offset reads in flight per
@@ -656,146 +631,94 @@ func (f *srbFile) readStream(st *stream, ops []op, idxs []int, results []opResul
 	wg.Wait()
 }
 
-// doReadv runs one stream's batch of ranges as vectored opReadv frames,
-// retrying the whole vector under the driver's policy. A vectored read is
-// idempotent, so a replay after a mid-vector transport failure is safe;
-// io.EOF is a result, not a failure, and is returned with the prefix count.
-func (f *srbFile) doReadv(s *stream, segs []srb.ReadSeg) (int, error) {
-	pol := f.fs.cfg.Retry
-	var n int
-	var err error
-	for attempt := 0; ; attempt++ {
-		file, gen := s.handle()
-		if file == nil {
-			n, err = 0, errStreamDown
-		} else {
-			n, err = file.ReadAtVec(segs)
-		}
-		if err == nil || errors.Is(err, io.EOF) {
-			if attempt > 0 {
-				f.retriedOps.Add(1)
-				f.tracer.Count("srbfs.retried_ops", 1)
-			}
-			f.tracer.Count(s.readCtr, int64(n))
-			return n, err
-		}
-		if !pol.Enabled() || !srb.Retryable(err) {
-			return n, err
-		}
-		if attempt+1 >= pol.MaxAttempts {
-			return n, fmt.Errorf("core: giving up after %d attempts: %w", attempt+1, err)
-		}
-		time.Sleep(pol.BackoffFor(attempt, err))
-		if errors.Is(err, srb.ErrServerBusy) || errors.Is(err, srb.ErrRateLimited) {
-			continue
-		}
-		if rerr := f.recoverStream(s, gen); rerr != nil {
-			if !srb.Retryable(rerr) {
-				return n, rerr
-			}
-		}
-	}
-}
-
-// readvStream gathers one stream's ranges in one vectored opReadv exchange.
-// The server fills ranges in order and stops at the first short one, so
-// results distribute greedily over the ops in vector order; a hard error
-// lands on the first op that came up short.
+// readvStream gathers one stream's ranges in one vectored opReadv
+// exchange. A vectored read is idempotent, so a replay after a mid-vector
+// transport failure is safe. io.EOF is the short-read result, not an
+// error: the short op itself tells the caller where the data ended.
 func (f *srbFile) readvStream(st *stream, ops []op, idxs []int, results []opResult) {
 	segs := make([]srb.ReadSeg, len(idxs))
 	for k, i := range idxs {
 		segs[k] = srb.ReadSeg{Off: ops[i].off, Buf: ops[i].buf}
 	}
-	n, err := f.doReadv(st, segs)
-	var hardErr error
-	if err != nil && err != io.EOF {
-		hardErr = err
+	n, err := f.retryOp(st, false, func(file *srb.File) (int, error) { return file.ReadAtVec(segs) })
+	if err == io.EOF {
+		err = nil
 	}
-	rem := n
-	attached := hardErr == nil
+	distribute(ops, idxs, results, n, err)
+}
+
+// distribute spreads the byte total of one stream's vectored exchange over
+// its ops. The server applies (or fills) segments in order and stops at
+// the first short one, so the total is credited greedily in vector order
+// and err, if any, lands on the first op that came up short.
+func distribute(ops []op, idxs []int, results []opResult, n int, err error) {
+	attached := err == nil
 	for _, i := range idxs {
-		want := len(ops[i].buf)
-		got := want
-		if rem < got {
-			got = rem
-		}
-		rem -= got
+		got := min(len(ops[i].buf), n)
+		n -= got
 		r := opResult{n: got}
-		if got < want && !attached {
-			r.err = hardErr
+		if got < len(ops[i].buf) && !attached {
+			r.err = err
 			attached = true
 		}
 		results[i] = r
 	}
 	if !attached {
-		results[idxs[len(idxs)-1]].err = hardErr
+		// Every byte was acknowledged yet the vector still failed (e.g. a
+		// transport tear after the last frame's reply was consumed): the
+		// error belongs past the end of the run.
+		results[idxs[len(idxs)-1]].err = err
 	}
 }
 
-type opResult struct {
-	n   int
-	err error
-}
-
-// WriteAt implements adio.File, striping across the streams. On error the
-// returned count is the contiguous prefix confirmed written — stripes past
-// the first failure are excluded even if they succeeded out of order,
-// mirroring ReadAt.
-func (f *srbFile) WriteAt(p []byte, off int64) (int, error) {
-	if len(f.streams) == 1 {
-		return f.doOp(f.streams[0], true, p, off)
-	}
-	ops := f.splitStripes(p, off)
-	results := f.runStriped(ops, true)
+// prefix folds a striped transfer's results into the contiguous prefix
+// confirmed in op order — offset order for WriteAt/ReadAt, segment order
+// for the vector calls. Ops past the first failure are excluded even if
+// they succeeded out of order. A read's io.EOF marks a short op, and a
+// short op ends the prefix with io.EOF (reads) or io.ErrShortWrite
+// (writes); any other error is returned wrapped as "core: <what> at <off>".
+func prefix(ops []op, results []opResult, write bool, what string) (int, error) {
 	total := 0
 	for i, r := range results {
 		total += r.n
-		if r.err != nil {
-			return total, fmt.Errorf("core: stripe write at %d: %w", ops[i].off, r.err)
+		if r.err != nil && (write || r.err != io.EOF) {
+			return total, fmt.Errorf("core: %s at %d: %w", what, ops[i].off, r.err)
 		}
 		if r.n < len(ops[i].buf) {
-			return total, io.ErrShortWrite
-		}
-	}
-	return total, nil
-}
-
-// ReadAt implements adio.File. Short reads report the contiguous prefix
-// actually available, with io.EOF when it ends before len(p).
-func (f *srbFile) ReadAt(p []byte, off int64) (int, error) {
-	if len(f.streams) == 1 {
-		return f.doOp(f.streams[0], false, p, off)
-	}
-	ops := f.splitStripes(p, off)
-	results := f.runStriped(ops, false)
-	// Ops are generated in ascending offset order; accumulate the
-	// contiguous prefix.
-	total := 0
-	for i, r := range results {
-		total += r.n
-		if r.err != nil && r.err != io.EOF {
-			return total, fmt.Errorf("core: stripe read at %d: %w", ops[i].off, r.err)
-		}
-		if r.n < len(ops[i].buf) {
+			if write {
+				return total, io.ErrShortWrite
+			}
 			return total, io.EOF
 		}
 	}
 	return total, nil
 }
 
-// splitVecs cuts each vector segment on stripe boundaries, preserving
-// segment order. With one stream everything lands on stream 0 and the wire
-// codec re-merges contiguous pieces, so the split costs table entries only
-// when it buys stream parallelism.
-func (f *srbFile) splitVecs(vecs []adio.Vec) []op {
-	var ops []op
-	for _, v := range vecs {
-		if len(v.Buf) == 0 {
-			continue
-		}
-		ops = append(ops, f.splitStripes(v.Buf, v.Off)...)
+// WriteAt implements adio.File, striping across the streams. On error the
+// returned count is the contiguous prefix confirmed written, mirroring
+// ReadAt.
+func (f *srbFile) WriteAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, negativeOffset(off)
 	}
-	return ops
+	if len(f.streams) == 1 {
+		return f.doOp(f.streams[0], true, p, off)
+	}
+	ops := f.splitStripes(p, off)
+	return prefix(ops, f.runStriped(ops, (*srbFile).writeStream), true, "stripe write")
+}
+
+// ReadAt implements adio.File. Short reads report the contiguous prefix
+// actually available, with io.EOF when it ends before len(p).
+func (f *srbFile) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, negativeOffset(off)
+	}
+	if len(f.streams) == 1 {
+		return f.doOp(f.streams[0], false, p, off)
+	}
+	ops := f.splitStripes(p, off)
+	return prefix(ops, f.runStriped(ops, (*srbFile).readStream), false, "stripe read")
 }
 
 // ReadAtVec implements adio.VectorIO: the whole scatter list moves in one
@@ -803,60 +726,22 @@ func (f *srbFile) splitVecs(vecs []adio.Vec) []op {
 // extent. Short reads report the contiguous prefix in segment order with
 // io.EOF, mirroring ReadAt.
 func (f *srbFile) ReadAtVec(vecs []adio.Vec) (int, error) {
-	ops := f.splitVecs(vecs)
-	if len(ops) == 0 {
-		return 0, nil
+	ops, err := f.splitVecs(vecs)
+	if err != nil || len(ops) == 0 {
+		return 0, err
 	}
-	results := make([]opResult, len(ops))
-	byStream := make([][]int, len(f.streams))
-	for i, o := range ops {
-		byStream[o.stream] = append(byStream[o.stream], i)
-	}
-	var wg sync.WaitGroup
-	for s, idxs := range byStream {
-		if len(idxs) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int, idxs []int) {
-			defer wg.Done()
-			f.readvStream(f.streams[s], ops, idxs, results)
-		}(s, idxs)
-	}
-	wg.Wait()
-	total := 0
-	for i, r := range results {
-		total += r.n
-		if r.err != nil && r.err != io.EOF {
-			return total, fmt.Errorf("core: vector read at %d: %w", ops[i].off, r.err)
-		}
-		if r.n < len(ops[i].buf) {
-			return total, io.EOF
-		}
-	}
-	return total, nil
+	return prefix(ops, f.runStriped(ops, (*srbFile).readvStream), false, "vector read")
 }
 
 // WriteAtVec implements adio.VectorIO, reusing the striped write machinery:
 // each stream's pieces coalesce into vectored opWritev frames. The count on
 // error is the contiguous prefix in segment order, mirroring WriteAt.
 func (f *srbFile) WriteAtVec(vecs []adio.Vec) (int, error) {
-	ops := f.splitVecs(vecs)
-	if len(ops) == 0 {
-		return 0, nil
+	ops, err := f.splitVecs(vecs)
+	if err != nil || len(ops) == 0 {
+		return 0, err
 	}
-	results := f.runStriped(ops, true)
-	total := 0
-	for i, r := range results {
-		total += r.n
-		if r.err != nil {
-			return total, fmt.Errorf("core: vector write at %d: %w", ops[i].off, r.err)
-		}
-		if r.n < len(ops[i].buf) {
-			return total, io.ErrShortWrite
-		}
-	}
-	return total, nil
+	return prefix(ops, f.runStriped(ops, (*srbFile).writeStream), true, "vector write")
 }
 
 // metaFile returns the stream-0 file handle for metadata ops.

@@ -28,12 +28,14 @@ func fastRetry() srb.RetryPolicy {
 	}
 }
 
-// trackingDialer dials fresh pipes against srv and records every client
-// endpoint so tests can inject faults on specific connections.
+// trackingDialer dials fresh pipes against srv and records both endpoints
+// of every connection so tests can inject faults on specific connections:
+// on the client end to cut a request, on the server end to cut a reply.
 type trackingDialer struct {
 	mu       sync.Mutex
 	srv      *srb.Server
 	conns    []*netsim.Conn
+	srvEnds  []*netsim.Conn     // guarded by mu; server end of conns[i]
 	faultNew func(*netsim.Conn) // guarded by mu; applied to each new conn before use
 }
 
@@ -46,6 +48,7 @@ func (d *trackingDialer) dial() (net.Conn, error) {
 	go d.srv.ServeConn(sEnd)
 	d.mu.Lock()
 	d.conns = append(d.conns, cEnd)
+	d.srvEnds = append(d.srvEnds, sEnd)
 	fault := d.faultNew
 	d.mu.Unlock()
 	if fault != nil {
@@ -68,6 +71,12 @@ func (d *trackingDialer) conn(i int) *netsim.Conn {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.conns[i]
+}
+
+func (d *trackingDialer) srvEnd(i int) *netsim.Conn {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.srvEnds[i]
 }
 
 func (d *trackingDialer) count() int {

@@ -518,7 +518,12 @@ func (f *File) Close() error {
 
 // ReadAt reads len(p) bytes at an explicit offset, splitting large reads
 // into protocol chunks. It returns io.EOF after reading past end of file.
+// A negative offset fails with ErrInvalid: on the wire it would mean "read
+// at the file pointer".
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("%w: negative read offset", ErrInvalid)
+	}
 	total := 0
 	for total < len(p) {
 		n := len(p) - total
@@ -543,7 +548,11 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // WriteAt writes p at an explicit offset, splitting into protocol chunks.
+// A negative offset fails with ErrInvalid, as in ReadAt.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("%w: negative write offset", ErrInvalid)
+	}
 	total := 0
 	for total < len(p) {
 		n := len(p) - total
