@@ -9,7 +9,7 @@ RACE_PKGS = ./...
 # -fuzz <name> ./internal/srb` with no time limit).
 FUZZTIME ?= 10s
 
-.PHONY: check vet build test race lint lint-json fuzz-short chaos-short chaos-long bench bench-smoke perfbench-test
+.PHONY: check vet build test race lint lint-json fuzz-short chaos-short chaos-long bench bench-smoke perfbench-test perf
 
 check: vet build test race lint fuzz-short chaos-short perfbench-test
 
@@ -102,3 +102,21 @@ bench:
 # at its bucket instead of wrecking its neighbor's p99. Wired into CI.
 bench-smoke:
 	$(GO) run ./cmd/benchsnap -quick -out -
+
+# The repository benchmark (perfbench/run.py) over its three workloads,
+# printing only each workload's metric lines and its failed_frac, so a
+# before/after pair is one command per checkout. TRACE=1 adds the
+# per-layer metrics; CARGO_TARGET_DIR holds the benchmark's build.
+SEED ?= 1
+SECONDS ?= 15
+TRACE ?= 0
+CARGO_TARGET_DIR ?= .bench_build
+PERF_WORKLOADS = ckpt-wan small-ops fed-replicated
+
+perf:
+	@for w in $(PERF_WORKLOADS); do \
+		out=$$(CARGO_TARGET_DIR=$(CARGO_TARGET_DIR) python3 perfbench/run.py --workload $$w \
+			--seed $(SEED) --seconds $(SECONDS) --trace $(TRACE)) || exit 1; \
+		echo "workload $$w"; \
+		printf '%s\n' "$$out" | awk '/^metric /{print} /failed_frac/{print "failed_frac", $$NF}'; \
+	done

@@ -85,12 +85,10 @@ type Testbed struct {
 	// ActiveServer (the field is rewritten by RestartServer).
 	Server *srb.Server
 
-	shards []*shardState    // immutable slice; each element mu-guarded
-	placer *mcat.Placer     // MCAT placement service, shared by all nodes
-	pjour  *mcat.MemJournal // placement journal behind placer
+	shards []*shardState // immutable slice; each element mu-guarded
+	placer *mcat.Placer  // MCAT placement service, shared by all nodes
 
 	mu      sync.Mutex
-	limits  srb.Limits // guarded by mu; applied to every generation
 	tracer  *trace.Tracer
 	tenants *tenant.Registry // guarded by mu; applied to every generation
 }
@@ -120,9 +118,8 @@ func NewFederated(spec Spec, nodes, shards, replicas int) *Testbed {
 		shards = 1
 	}
 	tb := &Testbed{
-		Spec:  spec,
-		Net:   netsim.NewNetwork(spec.Profile, nodes),
-		pjour: mcat.NewMemJournal(),
+		Spec: spec,
+		Net:  netsim.NewNetwork(spec.Profile, nodes),
 	}
 	tb.placer = mcat.NewPlacer(replicas)
 	for i := 0; i < shards; i++ {
@@ -139,9 +136,9 @@ func NewFederated(spec Spec, nodes, shards, replicas int) *Testbed {
 		tb.shards = append(tb.shards, sh)
 		tb.placer.AddServer(sh.name)
 	}
-	tb.placer.SetJournal(tb.pjour)
+	tb.placer.SetJournal(mcat.NewMemJournal())
 	for _, sh := range tb.shards {
-		sh.srv = tb.newServer(sh, tb.limits, tb.tracer, tb.tenants)
+		sh.srv = tb.newServer(sh, tb.tracer, tb.tenants)
 	}
 	tb.Server = tb.shards[0].srv
 	return tb
@@ -151,14 +148,13 @@ func NewFederated(spec Spec, nodes, shards, replicas int) *Testbed {
 // the shard journal into its catalog and attaches the journal for
 // subsequent mutations. Resources are re-registered (not journaled),
 // mirroring a real daemon's startup order: config, replay, serve. The
-// mu-guarded limits/tracer are passed in by the caller rather than read
-// here.
-func (tb *Testbed) newServer(sh *shardState, limits srb.Limits, tr *trace.Tracer, reg *tenant.Registry) *srb.Server {
+// mu-guarded tracer and registry are passed in by the caller rather than
+// read here.
+func (tb *Testbed) newServer(sh *shardState, tr *trace.Tracer, reg *tenant.Registry) *srb.Server {
 	srv := srb.NewServer()
 	srv.AddResource("mem", "memory", sh.store)
 	srv.Catalog().Replay(sh.journal.Records())
 	srv.Catalog().SetJournal(sh.journal)
-	srv.SetLimits(limits)
 	if tr != nil {
 		srv.SetTracer(tr)
 	}
@@ -189,23 +185,6 @@ func (tb *Testbed) SetTracer(tr *trace.Tracer) {
 	tb.mu.Unlock()
 	for _, srv := range up {
 		srv.SetTracer(tr)
-	}
-}
-
-// SetServerLimits applies admission-control limits to every running shard
-// and every future generation. Call before serving traffic.
-func (tb *Testbed) SetServerLimits(l srb.Limits) {
-	tb.mu.Lock()
-	tb.limits = l
-	var up []*srb.Server
-	for _, sh := range tb.shards {
-		if sh.srv != nil {
-			up = append(up, sh.srv)
-		}
-	}
-	tb.mu.Unlock()
-	for _, srv := range up {
-		srv.SetLimits(l)
 	}
 }
 
@@ -242,9 +221,6 @@ func (tb *Testbed) ShardNames() []string {
 // Placer exposes the testbed's MCAT placement service (shared by every
 // node, like the real MCAT).
 func (tb *Testbed) Placer() *mcat.Placer { return tb.placer }
-
-// PlacementJournal exposes the placement journal (tests inspect it).
-func (tb *Testbed) PlacementJournal() *mcat.MemJournal { return tb.pjour }
 
 // ShardStore exposes shard i's backing store (tests corrupt and inspect
 // replicas directly).
@@ -307,7 +283,7 @@ func (tb *Testbed) RestartShard(i int) {
 	if sh.srv != nil {
 		return
 	}
-	sh.srv = tb.newServer(sh, tb.limits, tb.tracer, tb.tenants)
+	sh.srv = tb.newServer(sh, tb.tracer, tb.tenants)
 	if tb.clampShard(i) == 0 {
 		tb.Server = sh.srv
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"semplar/internal/adio"
+	"semplar/internal/netsim"
 	"semplar/internal/srb"
 	"semplar/internal/storage"
 )
@@ -352,4 +353,46 @@ func TestExclusiveOpenFansOut(t *testing.T) {
 			waitIdle(t, fc.servers[name], name+" after the exclusive opens")
 		}
 	})
+}
+
+// TestFedSizeFansOut: a width-3 federated file asks its three slots for
+// their sizes together, so Size costs one round trip on a shaped network,
+// not one per slot.
+func TestFedSizeFansOut(t *testing.T) {
+	const oneWay = 25 * time.Millisecond
+	const rtt = 2 * oneWay
+	fc := newFedCluster(3, 1)
+	var eps []Endpoint
+	for _, name := range fc.names {
+		srv := fc.servers[name]
+		eps = append(eps, Endpoint{Name: name, Dial: func() (net.Conn, error) {
+			c, s := netsim.Pipe(oneWay, nil, nil)
+			go srv.ServeConn(s)
+			return c, nil
+		}})
+	}
+	fs, err := NewFedFS(FedConfig{Endpoints: eps, Placer: fc.placer, Width: 3, StripeSize: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Open("/sized", adio.O_RDWR|adio.O_CREATE, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	// Ten 4 KiB stripes and a bit: every slot holds data, and the file
+	// ends on slot 1.
+	content := make([]byte, 10*4096+100)
+	if _, err := f.WriteAt(content, 0); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	size, err := f.Size()
+	took := time.Since(start)
+	if err != nil || size != int64(len(content)) {
+		t.Fatalf("Size = %d, %v, want %d", size, err, len(content))
+	}
+	if took >= 2*rtt {
+		t.Fatalf("Size took %v at a %v round trip: the slots were asked one after another", took, rtt)
+	}
 }

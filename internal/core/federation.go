@@ -546,16 +546,24 @@ func (f *fedFile) readOne(o fedOp) opResult {
 
 // Size implements adio.File: the global size is the maximum inverse-mapped
 // end across the slot files (each sized via primary-then-replica failover).
+// The slots are asked together, so a width-W file pays one round trip, not
+// W; the first error in slot order wins.
 func (f *fedFile) Size() (int64, error) {
-	var size int64
-	for slot := range f.slots {
+	ends := make([]int64, len(f.slots))
+	err := fanOut(len(f.slots), func(slot int) error {
 		local, err := f.slotSize(slot)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		if end := slotEnd(local, f.stripe, f.width, slot); end > size {
-			size = end
-		}
+		ends[slot] = slotEnd(local, f.stripe, f.width, slot)
+		return nil
+	}, callAt)
+	if err != nil {
+		return 0, err
+	}
+	var size int64
+	for _, end := range ends {
+		size = max(size, end)
 	}
 	return size, nil
 }

@@ -16,9 +16,12 @@ import (
 )
 
 // DefaultStripeSize is the striping unit across TCP streams. Each stripe
-// is one synchronous SRB request, so stripes must be large enough that the
-// per-request WAN round trip is amortized; applications that issue one big
-// write per I/O phase (the paper's pattern) want stripe ~ transfer/streams.
+// is one blocking SRB call on its stream, which pays at least one WAN
+// round trip, so stripes must be large enough to amortize it; within the
+// call, a stripe larger than one data frame (256 KiB) goes out as a
+// pipelined train of frames, so the server stores the first frames while
+// the rest are still on the wire. Applications that issue one big write
+// per I/O phase (the paper's pattern) want stripe ~ transfer/streams.
 const DefaultStripeSize = 1 << 20
 
 // DefaultReconnectBudget bounds how many times one open handle may redial

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -14,6 +16,7 @@ import (
 	"semplar/internal/netsim"
 	"semplar/internal/srb"
 	"semplar/internal/storage"
+	"semplar/internal/tenant"
 )
 
 // The retry-path table runs every data entry point of srbFile over one and
@@ -355,4 +358,248 @@ func verifyWritten(t *testing.T, fs *SRBFS, moved []adio.Vec, img []byte) {
 			t.Fatalf("extent at %d written wrong bytes", v.Off)
 		}
 	}
+}
+
+// Multi-frame writes. With 1 MiB stripes every stream's share of these
+// calls spans several of the SRB client's pipelined data frames (256 KiB
+// each), on one stream and on two; the vectored call gives each stream two
+// pieces, so it takes the coalesced opWritev path.
+const frameStripe = 1 << 20
+
+// frameCall is one multi-frame write through srbFile. It writes the
+// extents of img listed in vecs, in call order, as one call. limit is a
+// file offset inside the call's last extent where the failure tests cut
+// it off. (A frame is refused whole, so a limit inside an earlier extent
+// would also refuse the frame that carries that extent's tail together
+// with the head of a later one.)
+type frameCall struct {
+	name  string
+	vecs  [][2]int64 // {off, len}
+	limit int64
+	run   func(f adio.File, img []byte) (int, error)
+}
+
+func frameCalls() []frameCall {
+	vecs := [][2]int64{{100 << 10, 1536 << 10}, {2200 << 10, 1536 << 10}}
+	return []frameCall{
+		{"WriteAt", [][2]int64{{0, 2 << 20}}, 1536 << 10, func(f adio.File, img []byte) (int, error) {
+			return f.WriteAt(img[:2<<20], 0)
+		}},
+		{"WriteAtVec", vecs, 3300 << 10, func(f adio.File, img []byte) (int, error) {
+			vs := make([]adio.Vec, len(vecs))
+			for i, v := range vecs {
+				vs[i] = adio.Vec{Off: v[0], Buf: img[v[0] : v[0]+v[1]]}
+			}
+			return f.(adio.VectorIO).WriteAtVec(vs)
+		}},
+	}
+}
+
+// total is the byte count of the whole call.
+func (c frameCall) total() int {
+	n := 0
+	for _, v := range c.vecs {
+		n += int(v[1])
+	}
+	return n
+}
+
+// prefixEnd is the file offset where the contiguous prefix of n bytes, in
+// call order, ends.
+func (c frameCall) prefixEnd(n int) int64 {
+	for _, v := range c.vecs {
+		if int64(n) <= v[1] {
+			return v[0] + int64(n)
+		}
+		n -= int(v[1])
+	}
+	return -1
+}
+
+// image is what the file holds once the call has fully succeeded.
+func (c frameCall) image(img []byte) []byte {
+	var end int64
+	for _, v := range c.vecs {
+		end = max(end, v[0]+v[1])
+	}
+	out := make([]byte, end)
+	for _, v := range c.vecs {
+		copy(out[v[0]:], img[v[0]:v[0]+v[1]])
+	}
+	return out
+}
+
+func forEachFrameCall(t *testing.T, fn func(t *testing.T, streams int, c frameCall)) {
+	for _, c := range frameCalls() {
+		for _, streams := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/streams=%d", c.name, streams), func(t *testing.T) {
+				fn(t, streams, c)
+			})
+		}
+	}
+}
+
+func frameImage() []byte {
+	img := make([]byte, 4<<20)
+	rand.New(rand.NewSource(29)).Read(img)
+	return img
+}
+
+// serverChecksum asks srv for the SHA-256 of path over a fresh connection.
+func serverChecksum(t *testing.T, srv *srb.Server, path string) string {
+	t.Helper()
+	cEnd, sEnd := netsim.Pipe(0, nil, nil)
+	go srv.ServeConn(sEnd)
+	conn, err := srb.NewConn(cEnd, "checker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	sum, _, err := conn.Checksum(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum
+}
+
+// TestMultiFrameWriteKilledMidWindow: the last stream's connection dies
+// 600 KiB into its payload, with data frames of the call still in flight.
+// The retry policy replays the whole call on a fresh connection, and the
+// server then holds exactly the payload.
+func TestMultiFrameWriteKilledMidWindow(t *testing.T) {
+	img := frameImage()
+	forEachFrameCall(t, func(t *testing.T, streams int, c frameCall) {
+		srv := srb.NewMemServer(storage.DeviceSpec{})
+		d := newTrackingDialer(srv)
+		fs, err := NewSRBFS(SRBFSConfig{Dial: d.dial, Streams: streams, StripeSize: frameStripe, Retry: fastRetry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.Open("/frames", adio.O_RDWR|adio.O_CREATE, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		d.conn(streams-1).FaultAfter(600<<10, netsim.FaultClose)
+
+		if n, err := c.run(f, img); err != nil || n != c.total() {
+			t.Fatalf("%s across a killed stream = %d, %v, want %d", c.name, n, err, c.total())
+		}
+		if st := f.(FaultReporter).FaultStats(); st.Reconnects < 1 || st.RetriedOps < 1 {
+			t.Fatalf("no reconnect+replay recorded: %+v", st)
+		}
+		want := sha256.Sum256(c.image(img))
+		if got := serverChecksum(t, srv, "/frames"); got != hex.EncodeToString(want[:]) {
+			t.Fatalf("server checksum %s, want the payload's %x", got, want)
+		}
+	})
+}
+
+// TestMultiFrameWriteQuotaPrefix: the tenant quota sits inside the call.
+// The frames that fit are stored and the first refused one ends the
+// prefix, so the call reports the quota error with a prefix reaching to
+// within one data frame of the quota; a single store-and-forward frame per
+// stream would lose the whole stripe that crosses it.
+func TestMultiFrameWriteQuotaPrefix(t *testing.T) {
+	img := frameImage()
+	forEachFrameCall(t, func(t *testing.T, streams int, c frameCall) {
+		key := []byte("frame-quota-key")
+		reg := tenant.NewRegistry()
+		reg.Register("acme", key, tenant.Limits{QuotaBytes: c.limit})
+		srv := srb.NewMemServer(storage.DeviceSpec{})
+		srv.SetTenants(reg)
+		fs, err := NewSRBFS(SRBFSConfig{
+			Dial: memDialer(srv), Streams: streams, StripeSize: frameStripe,
+			Tenant: srb.Credentials{TenantID: "acme", Key: key},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.Open("/retry", adio.O_RDWR|adio.O_CREATE, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+
+		n, err := c.run(f, img)
+		if !errors.Is(err, srb.ErrQuotaExceeded) {
+			t.Fatalf("%s past the quota: err = %v, want ErrQuotaExceeded", c.name, err)
+		}
+		if end := c.prefixEnd(n); end > c.limit || end <= c.limit-256<<10 {
+			t.Fatalf("%s past a %d B quota: prefix of %d B ends at %d, want within one frame below the quota", c.name, c.limit, n, end)
+		}
+		verifyWritten(t, fs, prefixVecs(c, img, n), img)
+	})
+}
+
+// prefixVecs lists the extents of img covered by the first n bytes of c.
+func prefixVecs(c frameCall, img []byte, n int) []adio.Vec {
+	var out []adio.Vec
+	for _, v := range c.vecs {
+		k := min(int64(n), v[1])
+		out = append(out, adio.Vec{Off: v[0], Buf: img[v[0] : v[0]+k]})
+		if n -= int(k); n == 0 {
+			break
+		}
+	}
+	return out
+}
+
+// shortStore's objects acknowledge writes short past limit bytes, like a
+// full device: no error, just fewer bytes.
+type shortStore struct {
+	storage.Store
+	limit int64
+}
+
+func (s shortStore) Create(key string) (storage.Object, error) {
+	o, err := s.Store.Create(key)
+	return shortObject{o, s.limit}, err
+}
+
+func (s shortStore) Open(key string) (storage.Object, error) {
+	o, err := s.Store.Open(key)
+	return shortObject{o, s.limit}, err
+}
+
+type shortObject struct {
+	storage.Object
+	limit int64
+}
+
+func (o shortObject) WriteAt(p []byte, off int64) (int, error) {
+	if room := o.limit - off; int64(len(p)) > room {
+		p = p[:max(room, 0)]
+	}
+	return o.Object.WriteAt(p, off)
+}
+
+// TestMultiFrameWriteShortAck: the device fills up inside the call. The
+// frame that crosses the limit is acknowledged short, and the call ends
+// its prefix exactly at the limit with io.ErrShortWrite, whatever the
+// frames after it acknowledged.
+func TestMultiFrameWriteShortAck(t *testing.T) {
+	img := frameImage()
+	forEachFrameCall(t, func(t *testing.T, streams int, c frameCall) {
+		srv := srb.NewServer()
+		srv.AddResource("mem", "memory", shortStore{storage.NewMemStore(), c.limit})
+		fs, err := NewSRBFS(SRBFSConfig{Dial: memDialer(srv), Streams: streams, StripeSize: frameStripe})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.Open("/retry", adio.O_RDWR|adio.O_CREATE, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+
+		n, err := c.run(f, img)
+		if !errors.Is(err, io.ErrShortWrite) {
+			t.Fatalf("%s onto a full device: err = %v, want io.ErrShortWrite", c.name, err)
+		}
+		if end := c.prefixEnd(n); end != c.limit {
+			t.Fatalf("%s onto a device full at %d: prefix of %d B ends at %d", c.name, c.limit, n, end)
+		}
+		verifyWritten(t, fs, prefixVecs(c, img, n), img)
+	})
 }

@@ -227,20 +227,6 @@ func (n *Network) KillShardConns(shard int) {
 	}
 }
 
-// KillAll resets every live connection — the server-crash fault: from the
-// clients' point of view every established stream dies at once.
-func (n *Network) KillAll() {
-	var victims []*Conn
-	n.mu.Lock()
-	for c := range n.live {
-		victims = append(victims, c)
-	}
-	n.mu.Unlock()
-	for _, c := range victims {
-		c.Kill()
-	}
-}
-
 // Partition cuts node off for the duration d: its established connections
 // are reset now and DialFault fails until the window elapses.
 func (n *Network) Partition(node int, d time.Duration) {

@@ -7,9 +7,11 @@ package srb
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"testing"
 
+	"semplar/internal/storage"
 	"semplar/internal/tenant"
 )
 
@@ -72,5 +74,69 @@ func TestSmallOpAllocs(t *testing.T) {
 	}
 	if !bytes.Equal(buf, payload) {
 		t.Fatal("ReadAt returned bytes that differ from the written payload")
+	}
+}
+
+// TestLargeWriteAllocs is the allocation gate for pipelined data frames:
+// a 1 MiB and a 4 MiB File.WriteAt, and a WriteAtVec that spans several
+// opWritev frames, cost no heap allocation per call across client, wire
+// codec and server combined. The in-flight frame records live on the
+// caller's stack, the pending calls and payload buffers come from pools and
+// the server reuses its writev segment table, so a write costs the same
+// whether it is one frame or sixteen. The gate is "under one per call"
+// rather than zero so that a stray allocation on another goroutine during
+// the measurement cannot fail it; a frame-builder closure escaping to the
+// heap costs one per call and does.
+func TestLargeWriteAllocs(t *testing.T) {
+
+	srv := NewMemServer(storage.DeviceSpec{})
+	cEnd, sEnd := net.Pipe()
+	go srv.ServeConn(sEnd)
+	conn, err := NewConn(cEnd, "tester")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	f, err := conn.Open("/large.dat", O_RDWR|O_CREATE, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	big := bytes.Repeat([]byte{0xa5}, 4<<20)
+	// Two discontiguous segments, about 600 KiB: three opWritev frames.
+	segs := []WriteSeg{{Off: 0, Data: big[:300<<10]}, {Off: 1 << 20, Data: big[:300<<10]}}
+	var opErr error
+	check := func(n int, err error, want int) {
+		if err == nil && n != want {
+			err = fmt.Errorf("wrote %d of %d bytes", n, want)
+		}
+		if err != nil {
+			opErr = err
+		}
+	}
+	cases := []struct {
+		name string
+		op   func()
+	}{
+		{"1MiB WriteAt", func() { n, err := f.WriteAt(big[:1<<20], 0); check(n, err, 1<<20) }},
+		{"4MiB WriteAt", func() { n, err := f.WriteAt(big, 0); check(n, err, 4<<20) }},
+		{"3-frame WriteAtVec", func() { n, err := f.WriteAtVec(segs); check(n, err, 600<<10) }},
+	}
+	// Warm the buffer pools, the pending-call pool and the stored object.
+	for i := 0; i < 20; i++ {
+		for _, tc := range cases {
+			tc.op()
+		}
+	}
+	for _, tc := range cases {
+		allocs := testing.AllocsPerRun(50, tc.op)
+		if opErr != nil {
+			t.Fatalf("%s: %v", tc.name, opErr)
+		}
+		t.Logf("%s: %v allocs/op", tc.name, allocs)
+		if allocs >= 1 {
+			t.Errorf("%s: %v allocs/op (client + server), want < 1", tc.name, allocs)
+		}
 	}
 }

@@ -274,34 +274,59 @@ func (c *Conn) register(req *request) (*pendingCall, *trace.Tracer, int64, time.
 	return pc, c.tr, c.lane, c.timeout, nil
 }
 
-// call sends one tagged request and waits for its response. Concurrent
-// callers pipeline: each holds wmu only for its own frame, then blocks on
-// its own pendingCall while others use the wire. Returned errors
-// distinguish transport failures (sticky, retryable on a fresh connection)
-// from server status errors (terminal).
+// call sends one tagged request and waits for its response: start, then
+// await. Concurrent callers pipeline: each holds wmu only for its own
+// frame, then blocks on its own pendingCall while others use the wire.
+// Returned errors distinguish transport failures (sticky, retryable on a
+// fresh connection) from server status errors (terminal).
 //
 // Nothing retains req, so callers' request literals stay on their stacks,
 // and the response comes back by value. A response's data buffer is
 // pooled; the caller releases it with putBuf once copied out, or leaves it
 // to the GC.
 func (c *Conn) call(req *request) (response, error) {
+	var st started
+	c.start(req, &st)
+	return c.await(&st)
+}
+
+// started is one request put on the wire by start: what await needs to
+// collect its response. A request that failed to start carries its error
+// and nothing else.
+type started struct {
+	pc     *pendingCall
+	timer  *time.Timer // op-deadline watchdog; nil when none is armed
+	tr     *trace.Tracer
+	traced bool
+	sp     trace.Span
+	seq    uint32
+	err    error // start failure, returned by await
+}
+
+// start validates req, registers it, arms the op-deadline watchdog and
+// writes and flushes its frame under wmu. The frame is on the wire (or the
+// connection has failed) when start returns, so the caller may reuse
+// req.data at once. Every start must be matched by one await on st. Several
+// started calls may be outstanding; that is how a large write keeps a
+// window of data frames in flight.
+func (c *Conn) start(req *request, st *started) {
 	if err := validateRequest(req); err != nil {
-		return response{}, err
+		st.err = err
+		return
 	}
 	pc, tr, lane, timeout, err := c.register(req)
 	if err != nil {
-		return response{}, err
+		st.err = err
+		return
 	}
-	var sp trace.Span
-	traced := tr.Enabled()
-	if traced {
+	st.pc, st.tr, st.seq = pc, tr, req.seq
+	if st.traced = tr.Enabled(); st.traced {
 		// The span covers send + server turnaround + receive — the full
 		// wire cost of this call. Under pipelining, spans of concurrent
 		// calls overlap on the connection lane; the seq arg recorded at
 		// End disambiguates them.
-		sp = tr.Begin("wire", opName(req.op), lane)
+		st.sp = tr.Begin("wire", opName(req.op), lane)
 	}
-	var timer *time.Timer
 	if timeout > 0 {
 		// Watchdog, armed before the send so a write stalled on a
 		// black-holed stream is bounded too. Claim-then-sever: if the
@@ -310,7 +335,7 @@ func (c *Conn) call(req *request) (response, error) {
 		// whose call it actually failed. It captures op and seq by value
 		// so req stays on the caller's stack.
 		op, seq := req.op, req.seq
-		timer = time.AfterFunc(timeout, func() {
+		st.timer = time.AfterFunc(timeout, func() {
 			if pc.complete(response{}, fmt.Errorf("%w after %v (%s seq %d)", ErrTimeout, timeout, opName(op), seq)) {
 				c.fail(fmt.Errorf("%w: connection severed by op-deadline watchdog", ErrTransport))
 			}
@@ -329,6 +354,14 @@ func (c *Conn) call(req *request) (response, error) {
 		// be trusted, so the whole connection fails.
 		c.fail(fmt.Errorf("%w: %v", ErrTransport, err))
 	}
+}
+
+// await waits for a started call's response and maps its status.
+func (c *Conn) await(st *started) (response, error) {
+	if st.err != nil {
+		return response{}, st.err
+	}
+	pc := st.pc
 	<-pc.done
 	resp, err := pc.resp, pc.err
 	// Recycle rule: readLoop and fail remove pc from pending under mu
@@ -337,11 +370,11 @@ func (c *Conn) call(req *request) (response, error) {
 	// and after winning it calls fail, which completes the orphaned pc a
 	// second time. So pc goes back to the pool only if no watchdog was
 	// armed or Stop proves it never ran.
-	if timer == nil || timer.Stop() {
+	if st.timer == nil || st.timer.Stop() {
 		pc.recycle()
 	}
-	if traced {
-		tr.Observe("srb.client.op", sp.End(trace.Int("seq", int64(req.seq))))
+	if st.traced {
+		st.tr.Observe("srb.client.op", st.sp.End(trace.Int("seq", int64(st.seq))))
 	}
 	if err != nil {
 		return response{}, err
@@ -547,31 +580,121 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	return total, nil
 }
 
-// WriteAt writes p at an explicit offset, splitting into protocol chunks.
-// A negative offset fails with ErrInvalid, as in ReadAt.
+// Data frames of a large write. A MaxChunk frame is store-and-forward: the
+// server parses a whole frame before its device sees a byte, so the frame's
+// wire time and device time add up. A write larger than one frame therefore
+// goes out as a train of frameWire-byte frames with up to writeWindow of
+// them in flight on the connection, and the server stores frame k while
+// frame k+1 is still on the wire. Each extra frame costs the transport a
+// few allocations (its ack, queueing), so the size trades overlap against
+// that per-frame cost; DESIGN §4.1 has the measured trade-off.
+const (
+	// frameWire is the wire size of one data frame, its request header
+	// included: exactly four 64 KiB transport chunks.
+	frameWire = 256 << 10
+	// frameData is the payload one data frame carries.
+	frameData = frameWire - reqHeaderSize
+	// foldMax bounds a tail that rides in the frame before it rather than
+	// going out as a runt frame of its own.
+	foldMax = 64 << 10
+	// writeWindow bounds the data frames one call keeps in flight: one
+	// MaxChunk's worth.
+	writeWindow = MaxChunk / frameWire
+)
+
+// frameLimit returns the payload bound of the next data frame when rest
+// bytes of data are left to send: one frame's worth, or everything (up to
+// the protocol bound) when a full frame would leave a tail under foldMax.
+func frameLimit(rest int) int {
+	if rest < frameData+foldMax {
+		return MaxChunk
+	}
+	return frameData
+}
+
+// writeFrames sends the data frames that next builds, keeping up to
+// writeWindow of them in flight, and collects their acks in order. next
+// returns the following frame's request and the data bytes it carries, or
+// 0 when none are left; with pooled set, each frame's payload goes back to
+// the buffer pool once it is on the wire. The in-flight records live in an
+// array on this stack, so the train costs no heap allocation of its own.
+//
+// The result is the contiguous acknowledged prefix, the rule striped
+// writes follow: the first failed frame's error wins, a short ack ends the
+// prefix with io.ErrShortWrite, and frames acknowledged after a failed one
+// are not counted. No frame is sent once a failure is known.
+func (f *File) writeFrames(pooled bool, next func() (request, int)) (int, error) {
+	var win [writeWindow]struct {
+		st   started
+		want int
+	}
+	total, head, n := 0, 0, 0
+	var err error
+	more := true
+	for more || n > 0 {
+		if more && n < writeWindow {
+			req, want := next()
+			if want == 0 {
+				more = false
+				continue
+			}
+			fr := &win[(head+n)%writeWindow]
+			fr.st, fr.want = started{}, want
+			f.conn.start(&req, &fr.st)
+			if pooled {
+				putBuf(req.data) // the frame is on the wire (or dead)
+			}
+			n++
+			more = fr.st.err == nil
+			continue
+		}
+		fr := &win[head]
+		head = (head + 1) % writeWindow
+		n--
+		resp, ferr := f.conn.await(&fr.st)
+		switch {
+		case err != nil:
+			// A frame before this one failed: not part of the prefix.
+		case ferr != nil:
+			err, more = ferr, false
+		default:
+			total += int(resp.value)
+			if int(resp.value) < fr.want {
+				err, more = io.ErrShortWrite, false
+			}
+		}
+	}
+	return total, err
+}
+
+// WriteAt writes p at an explicit offset. A write that fits one data frame
+// is a single request; a larger one is pipelined as a train of data frames
+// (see writeFrames), so the count on error is the contiguous acknowledged
+// prefix. A negative offset fails with ErrInvalid, as in ReadAt.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("%w: negative write offset", ErrInvalid)
 	}
-	total := 0
-	for total < len(p) {
-		n := len(p) - total
-		if n > MaxChunk {
-			n = MaxChunk
-		}
-		resp, err := f.conn.call(&request{
-			op: opWrite, handle: f.handle,
-			offset: off + int64(total), data: p[total : total+n],
-		})
-		if err != nil {
-			return total, err
-		}
-		total += int(resp.value)
-		if int(resp.value) < n {
-			return total, io.ErrShortWrite
-		}
+	if len(p) == 0 {
+		return 0, nil
 	}
-	return total, nil
+	if len(p) < frameData+foldMax {
+		resp, err := f.conn.call(&request{op: opWrite, handle: f.handle, offset: off, data: p})
+		if err != nil {
+			return 0, err
+		}
+		if int(resp.value) < len(p) {
+			return int(resp.value), io.ErrShortWrite
+		}
+		return int(resp.value), nil
+	}
+	sent := 0
+	return f.writeFrames(false, func() (request, int) {
+		n := min(len(p)-sent, frameLimit(len(p)-sent))
+		req := request{op: opWrite, handle: f.handle, offset: off + int64(sent), data: p[sent : sent+n]}
+		sent += n
+		return req, n
+	})
 }
 
 // WriteSeg is one segment of a vectored write: Data destined for absolute
@@ -585,68 +708,34 @@ type WriteSeg struct {
 // WriteAtVec writes all segments using vectored opWritev frames: many
 // discontiguous extents per round trip instead of one RPC per extent,
 // which is what makes fine-grained striped writes affordable over a
-// high-latency link. Segments are packed greedily into frames bounded by
-// MaxChunk. Returns the total byte count acknowledged by the server; a
-// frame acknowledged short surfaces io.ErrShortWrite, like WriteAt.
+// high-latency link. Segments are packed greedily into frames of the data
+// frame size and pipelined like a large WriteAt (see writeFrames). Returns
+// the contiguous byte count acknowledged by the server; a frame
+// acknowledged short surfaces io.ErrShortWrite, like WriteAt. A negative
+// offset fails the whole call with ErrInvalid before anything is sent.
 //
 // The operation is idempotent (each segment is an absolute-offset write),
 // so a transport failure mid-vector may be replayed on a fresh connection.
 func (f *File) WriteAtVec(segs []WriteSeg) (int, error) {
-	total := 0
-	frame := make([]writeSeg, 0, len(segs))
-	frameBytes := 0
-	flush := func() (int, error) {
-		if len(frame) == 0 {
-			return 0, nil
-		}
-		payload := encodeWritev(frame)
-		want := frameBytes
-		frame = frame[:0]
-		frameBytes = 0
-		resp, err := f.conn.call(&request{op: opWritev, handle: f.handle, data: payload})
-		putBuf(payload) // frame is on the wire (or dead); recycle
-		if err != nil {
-			return 0, err
-		}
-		if int(resp.value) < want {
-			return int(resp.value), io.ErrShortWrite
-		}
-		return int(resp.value), nil
-	}
+	rest := 0
 	for _, s := range segs {
 		if len(s.Data) == 0 {
 			continue
 		}
 		if s.Off < 0 {
-			return total, fmt.Errorf("%w: negative write offset", ErrInvalid)
+			return 0, fmt.Errorf("%w: negative write offset", ErrInvalid)
 		}
-		rest := s.Data
-		off := s.Off
-		for len(rest) > 0 {
-			// Room left in the current frame for payload, worst-case
-			// assuming this segment needs its own table entry.
-			room := MaxChunk - writevHdrSize - (len(frame)+1)*writevSegSize - frameBytes
-			if room <= 0 {
-				n, err := flush()
-				total += n
-				if err != nil {
-					return total, err
-				}
-				continue
-			}
-			chunk := rest
-			if len(chunk) > room {
-				chunk = chunk[:room]
-			}
-			frame = append(frame, writeSeg{off: off, data: chunk})
-			frameBytes += len(chunk)
-			off += int64(len(chunk))
-			rest = rest[len(chunk):]
-		}
+		rest += len(s.Data)
 	}
-	n, err := flush()
-	total += n
-	return total, err
+	cur := writevCursor{segs: segs}
+	return f.writeFrames(true, func() (request, int) {
+		if rest == 0 {
+			return request{}, 0
+		}
+		payload, n := cur.pack(frameLimit(rest))
+		rest -= n
+		return request{op: opWritev, handle: f.handle, data: payload}, n
+	})
 }
 
 // ReadSeg is one range of a vectored read: len(Buf) bytes wanted from

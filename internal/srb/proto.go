@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -631,46 +632,83 @@ type writeSeg struct {
 	data []byte
 }
 
-// encodeWritev packs segments into an opWritev request payload, coalescing
-// table entries for segments that are contiguous on disk: the payload bytes
-// concatenate either way, so adjacent stripes collapse into one run for
-// free. The buffer is pooled; the caller releases it with putBuf once the
-// frame is on the wire.
-func encodeWritev(segs []writeSeg) []byte {
-	type run struct {
-		off int64
-		n   int
-	}
-	runs := make([]run, 0, len(segs))
-	size := writevHdrSize
-	for _, s := range segs {
-		size += len(s.data)
-		if k := len(runs) - 1; k >= 0 && runs[k].off+int64(runs[k].n) == s.off {
-			runs[k].n += len(s.data)
-			continue
-		}
-		runs = append(runs, run{off: s.off, n: len(s.data)})
-	}
-	size += len(runs) * writevSegSize
-	buf := getBuf(size)
-	binary.BigEndian.PutUint32(buf[0:], uint32(len(runs)))
-	p := writevHdrSize
-	for _, r := range runs {
-		binary.BigEndian.PutUint64(buf[p:], uint64(r.off))
-		binary.BigEndian.PutUint32(buf[p+8:], uint32(r.n))
-		p += writevSegSize
-	}
-	for _, s := range segs {
-		p += copy(buf[p:], s.data)
-	}
-	return buf
+// writevCursor walks the data of a vectored write in order, cutting it
+// into opWritev frames.
+type writevCursor struct {
+	segs []WriteSeg // segs[0] is the segment being sent
+	skip int        // bytes of segs[0] already sent
 }
 
-// decodeWritev unpacks an opWritev payload. The frame already passed the
-// wire parser's bounds, so malformed vector framing here is an argument
-// error (ErrInvalid status reply) rather than connection damage. Returned
-// segments alias b; callers must copy before b is released.
-func decodeWritev(b []byte) ([]writeSeg, error) {
+// piece returns the next piece of data at the cursor, at most n bytes,
+// and advances past it. Empty segments are skipped; past the end (or for
+// n <= 0) the piece is empty.
+func (c *writevCursor) piece(n int) (int64, []byte) {
+	for len(c.segs) > 0 && c.skip == len(c.segs[0].Data) {
+		c.segs, c.skip = c.segs[1:], 0
+	}
+	if len(c.segs) == 0 || n <= 0 {
+		return 0, nil
+	}
+	s := c.segs[0]
+	data := s.Data[c.skip:]
+	if len(data) > n {
+		data = data[:n]
+	}
+	off := s.Off + int64(c.skip)
+	c.skip += len(data)
+	return off, data
+}
+
+// pack encodes the next opWritev payload of at most limit bytes from the
+// cursor, advances past it and returns the payload with the data bytes it
+// carries. Pieces are taken greedily, budgeting one table entry each;
+// pieces contiguous on disk then share one run of the table (the payload
+// bytes concatenate either way), so adjacent stripes collapse into one
+// run for free and the encoded payload never exceeds the budget. The
+// buffer is pooled; the caller releases it with putBuf once the frame is
+// on the wire.
+func (c *writevCursor) pack(limit int) ([]byte, int) {
+	m := *c
+	n, runs, end := 0, 0, int64(-1)
+	for pieces := 1; ; pieces++ {
+		off, data := m.piece(limit - writevHdrSize - pieces*writevSegSize - n)
+		if len(data) == 0 {
+			break
+		}
+		if off != end {
+			runs++
+		}
+		end = off + int64(len(data))
+		n += len(data)
+	}
+	buf := getBuf(writevHdrSize + runs*writevSegSize + n)
+	binary.BigEndian.PutUint32(buf, uint32(runs))
+	t, p := writevHdrSize-writevSegSize, writevHdrSize+runs*writevSegSize
+	runLen := 0
+	end = -1
+	for left := n; left > 0; {
+		off, data := c.piece(left)
+		if off != end {
+			t += writevSegSize
+			binary.BigEndian.PutUint64(buf[t:], uint64(off))
+			runLen = 0
+		}
+		runLen += len(data)
+		binary.BigEndian.PutUint32(buf[t+8:], uint32(runLen))
+		end = off + int64(len(data))
+		p += copy(buf[p:], data)
+		left -= len(data)
+	}
+	return buf, n
+}
+
+// decodeWritevInto unpacks an opWritev payload, reusing segs' storage for
+// the segment table so that a server decoding frame after frame allocates
+// it once. The frame already passed the wire parser's bounds, so malformed
+// vector framing here is an argument error (ErrInvalid status reply)
+// rather than connection damage. Returned segments alias b; callers must
+// copy before b is released.
+func decodeWritevInto(segs []writeSeg, b []byte) ([]writeSeg, error) {
 	if len(b) < writevHdrSize {
 		return nil, fmt.Errorf("%w: writev frame too short", ErrInvalid)
 	}
@@ -681,7 +719,7 @@ func decodeWritev(b []byte) ([]writeSeg, error) {
 	if int(count) > (len(b)-writevHdrSize)/writevSegSize {
 		return nil, fmt.Errorf("%w: writev segment table truncated", ErrInvalid)
 	}
-	segs := make([]writeSeg, count)
+	segs = slices.Grow(segs[:0], int(count))[:count]
 	p := writevHdrSize
 	var total int
 	for i := range segs {

@@ -98,6 +98,24 @@ func TestSetAttrNulKeyRejected(t *testing.T) {
 	}
 }
 
+// encodeWritev packs whole segments into one opWritev payload, with no
+// frame bound, through the client's frame encoder. The buffer is pooled;
+// release it with putBuf.
+func encodeWritev(segs []writeSeg) []byte {
+	vec := make([]WriteSeg, len(segs))
+	n := 0
+	for i, s := range segs {
+		vec[i] = WriteSeg{Off: s.off, Data: s.data}
+		n += len(s.data)
+	}
+	cur := writevCursor{segs: vec}
+	buf, _ := cur.pack(writevHdrSize + len(segs)*writevSegSize + n)
+	return buf
+}
+
+// decodeWritev unpacks an opWritev payload into a fresh segment table.
+func decodeWritev(b []byte) ([]writeSeg, error) { return decodeWritevInto(nil, b) }
+
 func TestEncodeWritevMergesContiguousRuns(t *testing.T) {
 	segs := []writeSeg{
 		{off: 0, data: []byte("aaaa")},

@@ -596,6 +596,7 @@ type session struct {
 	files  map[int32]*openFile
 	user   string
 	tenant *tenant.Tenant // non-nil once an authenticated connect succeeds
+	segs   []writeSeg     // writev's segment table, reused frame to frame
 }
 
 // owner is the catalog ownership label for files this session creates.
@@ -962,10 +963,12 @@ func (ss *session) writev(req *request) response {
 	if f.flags&O_ACCESS == O_RDONLY {
 		return errResp(fmt.Errorf("%w: file not open for writing", ErrInvalid))
 	}
-	segs, err := decodeWritev(req.data)
+	segs, err := decodeWritevInto(ss.segs, req.data)
 	if err != nil {
 		return errResp(err)
 	}
+	ss.segs = segs
+	defer clear(segs) // drop the aliases of req.data, which is recycled next
 	var maxEnd int64
 	for _, sg := range segs {
 		if end := sg.off + int64(len(sg.data)); end > maxEnd {
