@@ -495,41 +495,71 @@ func TestMultiFrameWriteKilledMidWindow(t *testing.T) {
 	})
 }
 
-// TestMultiFrameWriteQuotaPrefix: the tenant quota sits inside the call.
-// The frames that fit are stored and the first refused one ends the
-// prefix, so the call reports the quota error with a prefix reaching to
-// within one data frame of the quota; a single store-and-forward frame per
-// stream would lose the whole stripe that crosses it.
-func TestMultiFrameWriteQuotaPrefix(t *testing.T) {
+// TestMeteredWriteUnderOpsLimit: on a tenant's connections the server
+// charges every request one op, so a 4 MiB write must cost its MaxChunk
+// requests, not one op per 256 KiB data frame. The tenant's op bucket
+// holds 8 tokens on a frozen clock, fewer than the write's 16 data frames:
+// the opens and the write's requests fit with nothing shed. A framed write
+// would be refused mid-train, and its replays, paying again for the frames
+// before the refusal, would never get through.
+func TestMeteredWriteUnderOpsLimit(t *testing.T) {
 	img := frameImage()
-	forEachFrameCall(t, func(t *testing.T, streams int, c frameCall) {
-		key := []byte("frame-quota-key")
-		reg := tenant.NewRegistry()
-		reg.Register("acme", key, tenant.Limits{QuotaBytes: c.limit})
-		srv := srb.NewMemServer(storage.DeviceSpec{})
-		srv.SetTenants(reg)
-		fs, err := NewSRBFS(SRBFSConfig{
-			Dial: memDialer(srv), Streams: streams, StripeSize: frameStripe,
-			Tenant: srb.Credentials{TenantID: "acme", Key: key},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := fs.Open("/retry", adio.O_RDWR|adio.O_CREATE, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
+	t0 := time.Unix(1000, 0)
+	calls := []struct {
+		name string
+		run  func(f adio.File) (int, error)
+	}{
+		{"WriteAt", func(f adio.File) (int, error) { return f.WriteAt(img, 0) }},
+		{"WriteAtVec", func(f adio.File) (int, error) {
+			return f.(adio.VectorIO).WriteAtVec([]adio.Vec{{Off: 0, Buf: img[:2<<20]}, {Off: 2 << 20, Buf: img[2<<20:]}})
+		}},
+	}
+	for _, c := range calls {
+		for _, streams := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/streams=%d", c.name, streams), func(t *testing.T) {
+				key := []byte("frame-ops-key")
+				reg := tenant.NewRegistryClock(func() time.Time { return t0 })
+				reg.Register("acme", key, tenant.Limits{OpsPerSec: 8})
+				reg.Register("audit", key, tenant.Limits{})
+				srv := srb.NewMemServer(storage.DeviceSpec{})
+				srv.SetTenants(reg)
+				fs, err := NewSRBFS(SRBFSConfig{
+					Dial: memDialer(srv), Streams: streams, StripeSize: frameStripe, Retry: fastRetry(),
+					Tenant: srb.Credentials{TenantID: "acme", Key: key},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, err := fs.Open("/metered", adio.O_RDWR|adio.O_CREATE, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
 
-		n, err := c.run(f, img)
-		if !errors.Is(err, srb.ErrQuotaExceeded) {
-			t.Fatalf("%s past the quota: err = %v, want ErrQuotaExceeded", c.name, err)
+				if n, err := c.run(f); err != nil || n != len(img) {
+					t.Fatalf("%s of %d B under an 8-op bucket = %d, %v", c.name, len(img), n, err)
+				}
+				acme, _ := reg.Lookup("acme")
+				if st := acme.Stats(); st.ShedOps != 0 {
+					t.Fatalf("%d requests shed: %+v", st.ShedOps, st)
+				}
+				if st := f.(FaultReporter).FaultStats(); st.RetriedOps != 0 {
+					t.Fatalf("the write was replayed: %+v", st)
+				}
+				cEnd, sEnd := netsim.Pipe(0, nil, nil)
+				go srv.ServeConn(sEnd)
+				audit, err := srb.NewConnAuth(cEnd, "audit", srb.Credentials{TenantID: "audit", Key: key})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer audit.Close()
+				want := sha256.Sum256(img)
+				if sum, _, err := audit.Checksum("/metered"); err != nil || sum != hex.EncodeToString(want[:]) {
+					t.Fatalf("server checksum %s (%v), want the payload's %x", sum, err, want)
+				}
+			})
 		}
-		if end := c.prefixEnd(n); end > c.limit || end <= c.limit-256<<10 {
-			t.Fatalf("%s past a %d B quota: prefix of %d B ends at %d, want within one frame below the quota", c.name, c.limit, n, end)
-		}
-		verifyWritten(t, fs, prefixVecs(c, img, n), img)
-	})
+	}
 }
 
 // prefixVecs lists the extents of img covered by the first n bytes of c.

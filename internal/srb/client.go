@@ -38,6 +38,11 @@ type Conn struct {
 	bw  *bufio.Writer // guarded by wmu
 
 	br *bufio.Reader // owned by readLoop after NewConn
+
+	// metered is set when the handshake presented tenant credentials: the
+	// server then charges each request one op of the tenant's rate, so
+	// large writes are not split into data frames (see frameLimit).
+	metered bool // immutable after NewConn
 }
 
 // pendingCall is one in-flight request awaiting its response.
@@ -116,6 +121,7 @@ func NewConnAuth(c net.Conn, user string, cred Credentials) (*Conn, error) {
 		br:      bufio.NewReaderSize(c, 64<<10),
 		bw:      bufio.NewWriterSize(c, 64<<10),
 		pending: make(map[uint32]*pendingCall),
+		metered: !cred.Anonymous(),
 	}
 	go conn.readLoop()
 	connect := &request{op: opConnect, path: user}
@@ -274,20 +280,84 @@ func (c *Conn) register(req *request) (*pendingCall, *trace.Tracer, int64, time.
 	return pc, c.tr, c.lane, c.timeout, nil
 }
 
-// call sends one tagged request and waits for its response: start, then
-// await. Concurrent callers pipeline: each holds wmu only for its own
-// frame, then blocks on its own pendingCall while others use the wire.
-// Returned errors distinguish transport failures (sticky, retryable on a
-// fresh connection) from server status errors (terminal).
+// call sends one tagged request and waits for its response. Concurrent
+// callers pipeline: each holds wmu only for its own frame, then blocks on
+// its own pendingCall while others use the wire. Returned errors
+// distinguish transport failures (sticky, retryable on a fresh connection)
+// from server status errors (terminal). A caller that keeps several
+// requests in flight itself uses start and await, which split call in two
+// with the same rules.
 //
 // Nothing retains req, so callers' request literals stay on their stacks,
 // and the response comes back by value. A response's data buffer is
 // pooled; the caller releases it with putBuf once copied out, or leaves it
 // to the GC.
 func (c *Conn) call(req *request) (response, error) {
-	var st started
-	c.start(req, &st)
-	return c.await(&st)
+	if err := validateRequest(req); err != nil {
+		return response{}, err
+	}
+	pc, tr, lane, timeout, err := c.register(req)
+	if err != nil {
+		return response{}, err
+	}
+	var sp trace.Span
+	traced := tr.Enabled()
+	if traced {
+		// The span covers send + server turnaround + receive — the full
+		// wire cost of this call. Under pipelining, spans of concurrent
+		// calls overlap on the connection lane; the seq arg recorded at
+		// End disambiguates them.
+		sp = tr.Begin("wire", opName(req.op), lane)
+	}
+	var timer *time.Timer
+	if timeout > 0 {
+		// Watchdog, armed before the send so a write stalled on a
+		// black-holed stream is bounded too. Claim-then-sever: if the
+		// response wins the race, the CAS loses and the healthy
+		// connection survives — the watchdog only kills a connection
+		// whose call it actually failed. It captures op and seq by value
+		// so req stays on the caller's stack.
+		op, seq := req.op, req.seq
+		timer = time.AfterFunc(timeout, func() {
+			if pc.complete(response{}, fmt.Errorf("%w after %v (%s seq %d)", ErrTimeout, timeout, opName(op), seq)) {
+				c.fail(fmt.Errorf("%w: connection severed by op-deadline watchdog", ErrTransport))
+			}
+		})
+	}
+	c.wmu.Lock()
+	//lint:allow lockheld -- c.wmu IS the frame-serialization point: one request frame at a time
+	err = writeRequest(c.bw, req)
+	if err == nil {
+		//lint:allow lockheld -- flushed under the same write lock, still one frame at a time
+		err = c.bw.Flush()
+	}
+	c.wmu.Unlock()
+	if err != nil {
+		// The stream may be torn mid-frame; nothing after this frame can
+		// be trusted, so the whole connection fails.
+		c.fail(fmt.Errorf("%w: %v", ErrTransport, err))
+	}
+	<-pc.done
+	resp, err := pc.resp, pc.err
+	// Recycle rule: readLoop and fail remove pc from pending under mu
+	// before completing it, so once done has fired neither can reach pc
+	// again. A watchdog can: one that already fired may still be running,
+	// and after winning it calls fail, which completes the orphaned pc a
+	// second time. So pc goes back to the pool only if no watchdog was
+	// armed or Stop proves it never ran.
+	if timer == nil || timer.Stop() {
+		pc.recycle()
+	}
+	if traced {
+		tr.Observe("srb.client.op", sp.End(trace.Int("seq", int64(req.seq))))
+	}
+	if err != nil {
+		return response{}, err
+	}
+	if resp.status != statusOK {
+		return response{}, statusToErr(resp.status, resp.msg, resp.value)
+	}
+	return resp, nil
 }
 
 // started is one request put on the wire by start: what await needs to
@@ -320,20 +390,11 @@ func (c *Conn) start(req *request, st *started) {
 		return
 	}
 	st.pc, st.tr, st.seq = pc, tr, req.seq
+	// The span, the watchdog and the frame write are call's; see there.
 	if st.traced = tr.Enabled(); st.traced {
-		// The span covers send + server turnaround + receive — the full
-		// wire cost of this call. Under pipelining, spans of concurrent
-		// calls overlap on the connection lane; the seq arg recorded at
-		// End disambiguates them.
 		st.sp = tr.Begin("wire", opName(req.op), lane)
 	}
 	if timeout > 0 {
-		// Watchdog, armed before the send so a write stalled on a
-		// black-holed stream is bounded too. Claim-then-sever: if the
-		// response wins the race, the CAS loses and the healthy
-		// connection survives — the watchdog only kills a connection
-		// whose call it actually failed. It captures op and seq by value
-		// so req stays on the caller's stack.
 		op, seq := req.op, req.seq
 		st.timer = time.AfterFunc(timeout, func() {
 			if pc.complete(response{}, fmt.Errorf("%w after %v (%s seq %d)", ErrTimeout, timeout, opName(op), seq)) {
@@ -350,13 +411,12 @@ func (c *Conn) start(req *request, st *started) {
 	}
 	c.wmu.Unlock()
 	if err != nil {
-		// The stream may be torn mid-frame; nothing after this frame can
-		// be trusted, so the whole connection fails.
 		c.fail(fmt.Errorf("%w: %v", ErrTransport, err))
 	}
 }
 
-// await waits for a started call's response and maps its status.
+// await waits for a started call's response and maps its status, as the
+// second half of call.
 func (c *Conn) await(st *started) (response, error) {
 	if st.err != nil {
 		return response{}, st.err
@@ -364,12 +424,7 @@ func (c *Conn) await(st *started) (response, error) {
 	pc := st.pc
 	<-pc.done
 	resp, err := pc.resp, pc.err
-	// Recycle rule: readLoop and fail remove pc from pending under mu
-	// before completing it, so once done has fired neither can reach pc
-	// again. A watchdog can: one that already fired may still be running,
-	// and after winning it calls fail, which completes the orphaned pc a
-	// second time. So pc goes back to the pool only if no watchdog was
-	// armed or Stop proves it never ran.
+	// call's recycle rule: only when no watchdog can still reach pc.
 	if st.timer == nil || st.timer.Stop() {
 		pc.recycle()
 	}
@@ -588,6 +643,12 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 // frame k+1 is still on the wire. Each extra frame costs the transport a
 // few allocations (its ack, queueing), so the size trades overlap against
 // that per-frame cost; DESIGN §4.1 has the measured trade-off.
+//
+// A tenant-metered connection is not framed: the server charges every
+// request one op of the tenant's rate, so a framed write would cost one op
+// per frame, and a refusal mid-train would have the retry layer pay again
+// for the frames before it. There a write goes out as MaxChunk requests,
+// one at a time, one op each.
 const (
 	// frameWire is the wire size of one data frame, its request header
 	// included: exactly four 64 KiB transport chunks.
@@ -604,35 +665,41 @@ const (
 
 // frameLimit returns the payload bound of the next data frame when rest
 // bytes of data are left to send: one frame's worth, or everything (up to
-// the protocol bound) when a full frame would leave a tail under foldMax.
-func frameLimit(rest int) int {
-	if rest < frameData+foldMax {
+// the protocol bound) when a full frame would leave a tail under foldMax
+// or the connection is metered.
+func (c *Conn) frameLimit(rest int) int {
+	if c.metered || rest < frameData+foldMax {
 		return MaxChunk
 	}
 	return frameData
 }
 
 // writeFrames sends the data frames that next builds, keeping up to
-// writeWindow of them in flight, and collects their acks in order. next
-// returns the following frame's request and the data bytes it carries, or
-// 0 when none are left; with pooled set, each frame's payload goes back to
-// the buffer pool once it is on the wire. The in-flight records live in an
-// array on this stack, so the train costs no heap allocation of its own.
+// writeWindow of them in flight (one on a metered connection), and
+// collects their acks in order. next returns the following frame's request
+// and the data bytes it carries, or 0 when none are left; it is called
+// again only once the frame it last built is on the wire. The in-flight
+// records live in an array on this stack, so the train costs no heap
+// allocation of its own.
 //
 // The result is the contiguous acknowledged prefix, the rule striped
 // writes follow: the first failed frame's error wins, a short ack ends the
 // prefix with io.ErrShortWrite, and frames acknowledged after a failed one
 // are not counted. No frame is sent once a failure is known.
-func (f *File) writeFrames(pooled bool, next func() (request, int)) (int, error) {
+func (f *File) writeFrames(next func() (request, int)) (int, error) {
 	var win [writeWindow]struct {
 		st   started
 		want int
+	}
+	window := writeWindow
+	if f.conn.metered {
+		window = 1
 	}
 	total, head, n := 0, 0, 0
 	var err error
 	more := true
 	for more || n > 0 {
-		if more && n < writeWindow {
+		if more && n < window {
 			req, want := next()
 			if want == 0 {
 				more = false
@@ -641,9 +708,6 @@ func (f *File) writeFrames(pooled bool, next func() (request, int)) (int, error)
 			fr := &win[(head+n)%writeWindow]
 			fr.st, fr.want = started{}, want
 			f.conn.start(&req, &fr.st)
-			if pooled {
-				putBuf(req.data) // the frame is on the wire (or dead)
-			}
 			n++
 			more = fr.st.err == nil
 			continue
@@ -669,8 +733,10 @@ func (f *File) writeFrames(pooled bool, next func() (request, int)) (int, error)
 
 // WriteAt writes p at an explicit offset. A write that fits one data frame
 // is a single request; a larger one is pipelined as a train of data frames
-// (see writeFrames), so the count on error is the contiguous acknowledged
-// prefix. A negative offset fails with ErrInvalid, as in ReadAt.
+// (see writeFrames; a tenant-metered connection sends MaxChunk requests
+// one at a time instead), so the count on error is the contiguous
+// acknowledged prefix. A negative offset fails with ErrInvalid, as in
+// ReadAt.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("%w: negative write offset", ErrInvalid)
@@ -678,7 +744,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	if len(p) < frameData+foldMax {
+	if len(p) <= f.conn.frameLimit(len(p)) {
 		resp, err := f.conn.call(&request{op: opWrite, handle: f.handle, offset: off, data: p})
 		if err != nil {
 			return 0, err
@@ -689,8 +755,8 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		return int(resp.value), nil
 	}
 	sent := 0
-	return f.writeFrames(false, func() (request, int) {
-		n := min(len(p)-sent, frameLimit(len(p)-sent))
+	return f.writeFrames(func() (request, int) {
+		n := min(len(p)-sent, f.conn.frameLimit(len(p)-sent))
 		req := request{op: opWrite, handle: f.handle, offset: off + int64(sent), data: p[sent : sent+n]}
 		sent += n
 		return req, n
@@ -728,14 +794,20 @@ func (f *File) WriteAtVec(segs []WriteSeg) (int, error) {
 		rest += len(s.Data)
 	}
 	cur := writevCursor{segs: segs}
-	return f.writeFrames(true, func() (request, int) {
+	var payload []byte // the pooled payload of the frame built last
+	n, err := f.writeFrames(func() (request, int) {
+		putBuf(payload) // that frame is on the wire (or dead)
+		payload = nil
 		if rest == 0 {
 			return request{}, 0
 		}
-		payload, n := cur.pack(frameLimit(rest))
-		rest -= n
-		return request{op: opWritev, handle: f.handle, data: payload}, n
+		var k int
+		payload, k = cur.pack(f.conn.frameLimit(rest))
+		rest -= k
+		return request{op: opWritev, handle: f.handle, data: payload}, k
 	})
+	putBuf(payload)
+	return n, err
 }
 
 // ReadSeg is one range of a vectored read: len(Buf) bytes wanted from

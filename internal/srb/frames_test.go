@@ -48,16 +48,23 @@ func checkHealthy(t *testing.T, conn *Conn, f *File) {
 	}
 }
 
-// TestMultiFrameQuotaPrefix: a quota refusal at frame k of a large write
-// returns exactly the data of frames 0..k-1, with the quota error. Frames
-// after k are refused too (they reach further), and the connection stays
-// usable.
-func TestMultiFrameQuotaPrefix(t *testing.T) {
-	const k = 2
+// meteredRequest is the data bytes one request of fw's entry point carries
+// on a tenant-metered connection, where writes are not framed: MaxChunk
+// less what fw's own frame spends on its table.
+func meteredRequest(fw frameWrite) int { return fw.frame + MaxChunk - frameData }
+
+// TestMeteredWriteQuotaPrefix: quotas belong to tenants, so a quota
+// refusal meets a large write on a metered connection, which sends
+// MaxChunk requests one at a time. The refusal at request k returns
+// exactly the requests before it with the quota error, nothing after it is
+// sent, and the connection stays usable.
+func TestMeteredWriteQuotaPrefix(t *testing.T) {
+	const k = 1
 	for _, fw := range frameWrites() {
 		t.Run(fw.name, func(t *testing.T) {
-			quota := int64(k*fw.frame + fw.frame/2)
-			srv, _ := tenantServer(nil, map[string]tenant.Limits{"acme": {QuotaBytes: quota}})
+			req := meteredRequest(fw)
+			quota := int64(k*req + req/2)
+			srv, reg := tenantServer(nil, map[string]tenant.Limits{"acme": {QuotaBytes: quota}})
 			conn, err := connectAuth(t, srv, Credentials{TenantID: "acme", Key: tenantKey("acme")})
 			if err != nil {
 				t.Fatal(err)
@@ -67,18 +74,55 @@ func TestMultiFrameQuotaPrefix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := bytes.Repeat([]byte{0x42}, 6*fw.frame)
-			n, err := fw.write(f, p)
+			acme, _ := reg.Lookup("acme")
+			before := acme.Stats().Admitted
+			n, err := fw.write(f, bytes.Repeat([]byte{0x42}, 3*req))
 			if !errors.Is(err, ErrQuotaExceeded) {
 				t.Fatalf("write past quota: err = %v, want ErrQuotaExceeded", err)
 			}
-			if n != k*fw.frame {
-				t.Fatalf("write past quota acknowledged %d bytes, want the %d of frames before %d", n, k*fw.frame, k)
+			if n != k*req {
+				t.Fatalf("write past quota acknowledged %d bytes, want the %d of requests before %d", n, k*req, k)
+			}
+			if sent := acme.Stats().Admitted - before; sent != k+1 {
+				t.Fatalf("server admitted %d requests of the write, want %d: none after the refused one", sent, k+1)
 			}
 			if sz, err := f.Size(); err != nil || sz != int64(n) {
 				t.Fatalf("server holds %d bytes (%v), the call reported %d", sz, err, n)
 			}
 			checkHealthy(t, conn, f)
+		})
+	}
+}
+
+// TestMeteredWriteOneOpPerRequest: the server charges every request of a
+// tenant one op, so a large write on a metered connection must cost what
+// its MaxChunk requests cost, not one op per data frame. The tenant's op
+// bucket holds 3 tokens and its clock is frozen: the open and a 4 MiB
+// write fit, 16 data frames would not.
+func TestMeteredWriteOneOpPerRequest(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	for _, fw := range frameWrites() {
+		t.Run(fw.name, func(t *testing.T) {
+			req := meteredRequest(fw)
+			srv, reg := tenantServer(func() time.Time { return t0 }, map[string]tenant.Limits{"acme": {OpsPerSec: 3}})
+			conn, err := connectAuth(t, srv, Credentials{TenantID: "acme", Key: tenantKey("acme")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			f, err := conn.Open("/ops", O_RDWR|O_CREATE, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			acme, _ := reg.Lookup("acme")
+			before := acme.Stats()
+			if n, err := fw.write(f, make([]byte, req)); err != nil || n != req {
+				t.Fatalf("%d B write under a 3-op bucket = %d, %v", req, n, err)
+			}
+			after := acme.Stats()
+			if ops := after.Admitted - before.Admitted; ops != 1 || after.ShedOps != before.ShedOps {
+				t.Fatalf("the write cost %d ops with %d shed, want 1 and 0", ops, after.ShedOps-before.ShedOps)
+			}
 		})
 	}
 }

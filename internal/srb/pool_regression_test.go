@@ -190,3 +190,38 @@ func TestRetryTablesMatchBehavior(t *testing.T) {
 		t.Error("unknown errors must default to retryable")
 	}
 }
+
+// TestWritevSegTableRetentionBounded checks that a session keeps its
+// reusable writev segment table only while it is small: a many-segment
+// vector must not pin its table for the rest of the connection.
+func TestWritevSegTableRetentionBounded(t *testing.T) {
+	srv := NewMemServer(storage.DeviceSpec{})
+	sess := &session{
+		srv:   srv,
+		files: map[int32]*openFile{1: {obj: failObj{}, path: "/bad", flags: O_RDWR}},
+	}
+	vector := func(count int) []byte {
+		segs := make([]writeSeg, count)
+		for i := range segs {
+			segs[i] = writeSeg{off: int64(2 * i), data: []byte{1}}
+		}
+		return encodeWritev(segs)
+	}
+	sess.writev(&request{op: opWritev, handle: 1, data: vector(8)})
+	if cap(sess.segs) < 8 {
+		t.Fatalf("8-segment writev left a table of capacity %d; a small table must be kept for reuse", cap(sess.segs))
+	}
+	small := &sess.segs[:1][0]
+	sess.writev(&request{op: opWritev, handle: 1, data: vector(20000)})
+	if c := cap(sess.segs); c > keptSegs {
+		t.Fatalf("20000-segment writev left a table of capacity %d, want <= %d", c, keptSegs)
+	}
+	if &sess.segs[:1][0] != small {
+		t.Fatal("a large writev replaced the kept small table")
+	}
+	for _, sg := range sess.segs[:cap(sess.segs)] {
+		if sg.data != nil {
+			t.Fatal("kept table still aliases a finished frame's payload")
+		}
+	}
+}

@@ -596,8 +596,14 @@ type session struct {
 	files  map[int32]*openFile
 	user   string
 	tenant *tenant.Tenant // non-nil once an authenticated connect succeeds
-	segs   []writeSeg     // writev's segment table, reused frame to frame
+	segs   []writeSeg     // writev's segment table, reused frame to frame; see keptSegs
 }
+
+// keptSegs bounds the writev segment table a session keeps between frames
+// (32 KiB of entries). The entry count comes off the wire and one frame may
+// carry hundreds of thousands, so a larger table goes to the GC with its
+// frame instead of staying pinned for the life of the connection.
+const keptSegs = 1024
 
 // owner is the catalog ownership label for files this session creates.
 func (ss *session) owner() string {
@@ -967,7 +973,9 @@ func (ss *session) writev(req *request) response {
 	if err != nil {
 		return errResp(err)
 	}
-	ss.segs = segs
+	if cap(segs) <= keptSegs {
+		ss.segs = segs
+	}
 	defer clear(segs) // drop the aliases of req.data, which is recycled next
 	var maxEnd int64
 	for _, sg := range segs {
